@@ -17,10 +17,7 @@ The repo grew five ways to execute a :class:`~repro.scenario.spec.ScenarioSpec`:
 
 :func:`run` executes any of them behind one signature and returns a
 uniform :class:`RunResult` — health summary, counters, a trace handle
-and the backend-native result object for anything deeper.  The
-per-backend entry points (``run_engine_spec``, ``run_live_spec``) still
-work but emit :class:`DeprecationWarning`; they will keep working for
-one release.
+and the backend-native result object for anything deeper.
 
 ``python -m repro run <scenario> --backend <name>`` is the CLI face of
 the same facade.

@@ -25,11 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.baselines.scenario_base import UDPProbeScenario
-from repro.baselines.startopo import StarTopology
 from repro.core.registration import (
-    ControlDispatcher,
     RegistrationMessage,
-    ReliableRegistrar,
     next_seq,
 )
 from repro.errors import ProtocolError
@@ -40,7 +37,7 @@ from repro.ip.packet import IPPacket, Payload
 from repro.ip.protocols import IPIP as PROTO_IPIP
 from repro.link.medium import Medium, WirelessCell
 from repro.netsim.simulator import Simulator
-from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 COL_GREET = "col-greet"     # mobile host -> new MSR (carries old MSR)
 COL_MOVED = "col-moved"     # new MSR -> old MSR
@@ -365,10 +362,7 @@ class ColumbiaScenario(UDPProbeScenario):
     ) -> None:
         sim = sim or Simulator(seed=seed)
         super().__init__(sim, n_cells)
-        world = build_world(sim, {"kind": "star", "n_cells": n_cells})
-        self.world = world
-        self.topo: StarTopology = world.topo
-        correspondent = world.correspondents[0]
+        correspondent = self.world.correspondents[0]
         mobile_subnet = self.topo.home_net
         self.msrs: List[MSR] = [
             MSR(router, "cell", mobile_subnet) for router in self.topo.cell_routers

@@ -26,11 +26,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.baselines.scenario_base import UDPProbeScenario
-from repro.baselines.startopo import StarTopology
 from repro.baselines.sunshine_postel import Forwarder
 from repro.core.registration import (
     RegistrationMessage,
-    ReliableRegistrar,
     next_seq,
 )
 from repro.ip.address import IPAddress
@@ -40,7 +38,7 @@ from repro.ip.options import LSRROption
 from repro.ip.packet import IPPacket
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
-from repro.scenario.world import build_world
+from repro.wire.roles import ReliableRegistrar
 
 IBM_ATTACH = "ibm-attach"
 IBM_DETACH = "ibm-detach"
@@ -165,14 +163,11 @@ class IBMLSRRScenario(UDPProbeScenario):
     ) -> None:
         sim = sim or Simulator(seed=seed)
         super().__init__(sim, n_cells)
-        world = build_world(sim, {"kind": "star", "n_cells": n_cells})
-        self.world = world
-        self.topo: StarTopology = world.topo
         self.base_stations: List[BaseStation] = [
             BaseStation(self.topo.home_router, "lan")
         ] + [BaseStation(router, "cell") for router in self.topo.cell_routers]
 
-        correspondent = world.correspondents[0]
+        correspondent = self.world.correspondents[0]
         self.correspondent_agent = LSRRCorrespondentAgent(
             correspondent, reverses_routes=correspondent_reverses
         )

@@ -22,11 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.baselines.scenario_base import UDPProbeScenario
-from repro.baselines.startopo import StarTopology
 from repro.core.registration import (
-    ControlDispatcher,
     RegistrationMessage,
-    ReliableRegistrar,
     next_seq,
 )
 from repro.ip.address import IPAddress
@@ -36,7 +33,7 @@ from repro.ip.packet import IPPacket
 from repro.ip.protocols import IPTP as PROTO_IPTP
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
-from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 MAT_REGISTER = "mat-register"  # mobile host -> PFS (current temp address)
 MAT_NOTIFY = "mat-notify"      # mobile host -> correspondent (autonomous)
@@ -240,11 +237,8 @@ class MatsushitaScenario(UDPProbeScenario):
         sim = sim or Simulator(seed=seed)
         super().__init__(sim, n_cells)
         self.autonomous = autonomous
-        world = build_world(sim, {"kind": "star", "n_cells": n_cells})
-        self.world = world
-        self.topo: StarTopology = world.topo
         self.pfs = PacketForwardingServer(self.topo.home_router, "lan")
-        correspondent = world.correspondents[0]
+        correspondent = self.world.correspondents[0]
         self.sender = MatsushitaSender(correspondent)
         mobile = Host(sim, "M")
         mobile.add_interface("wifi0", self.topo.mobile_home_address, self.topo.home_net)

@@ -10,11 +10,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.baselines.scenario_base import UDPProbeScenario
-from repro.baselines.startopo import StarTopology
 from repro.core.agent_router import AgentRouter
 from repro.core.mobile_host import MobileHost
 from repro.netsim.simulator import Simulator
-from repro.scenario.world import build_world
 
 
 class MHRPScenario(UDPProbeScenario):
@@ -31,19 +29,10 @@ class MHRPScenario(UDPProbeScenario):
         **agent_kwargs,
     ) -> None:
         sim = sim or Simulator(seed=seed)
-        super().__init__(sim, n_cells)
-        world = build_world(
-            sim,
-            {
-                "kind": "star",
-                "n_cells": n_cells,
-                "mhrp": True,
-                "sender_caches": sender_caches,
-                **agent_kwargs,
-            },
+        super().__init__(
+            sim, n_cells, mhrp=True, sender_caches=sender_caches, **agent_kwargs
         )
-        self.world = world
-        self.topo: StarTopology = world.topo
+        world = self.world
         self.home_roles: AgentRouter = world.home_roles
         self.cell_roles: List[AgentRouter] = world.cell_roles
         self.mobile: MobileHost = world.mobile_hosts[0]

@@ -15,12 +15,14 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.baselines.interface import Scenario, count_hops
+from repro.baselines.startopo import StarTopology
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
 from repro.ip.packet import IPPacket
 from repro.ip.protocols import UDP as PROTO_UDP
 from repro.link.frame import FRAME_OVERHEAD
 from repro.netsim.simulator import Simulator
+from repro.scenario.world import build_world
 from repro.transport.segments import UDPDatagram
 
 PROBE_PORT = 46000
@@ -47,12 +49,15 @@ class WireSizeTracker:
 class UDPProbeScenario(Scenario):
     """Scenario with the UDP probe workload wired up.
 
-    Subclasses call :meth:`_init_probe` once their correspondent and
-    mobile host nodes exist, and may override :meth:`_sent_packet` to
-    adjust the outgoing packet (e.g. VIP wraps every packet).
+    Builds the shared comparison star (``star_params`` go to
+    :func:`repro.plan.star_plan`); subclasses attach their protocol's
+    roles to ``self.topo``'s plain routers, call :meth:`_init_probe`
+    once their correspondent and mobile host nodes exist, and may
+    override :meth:`_sent_packet` to adjust the outgoing packet (e.g.
+    VIP wraps every packet).
     """
 
-    def __init__(self, sim: Simulator, n_cells: int) -> None:
+    def __init__(self, sim: Simulator, n_cells: int, **star_params) -> None:
         super().__init__(sim, n_cells)
         self._wire = WireSizeTracker(sim)
         self._uid_by_seq: Dict[int, int] = {}
@@ -61,6 +66,10 @@ class UDPProbeScenario(Scenario):
         self.correspondent: Optional[Host] = None
         self.mobile_node: Optional[Host] = None
         self.mobile_address: Optional[IPAddress] = None
+        self.world = build_world(
+            sim, {"kind": "star", "n_cells": n_cells, **star_params}
+        )
+        self.topo = StarTopology(self.world)
 
     # ------------------------------------------------------------------
     def _init_probe(

@@ -30,11 +30,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.scenario_base import UDPProbeScenario
-from repro.baselines.startopo import StarTopology
 from repro.core.registration import (
-    ControlDispatcher,
     RegistrationMessage,
-    ReliableRegistrar,
     next_seq,
 )
 from repro.ip.address import IPAddress
@@ -45,7 +42,7 @@ from repro.ip.packet import IPPacket, Payload
 from repro.ip.protocols import VIP as PROTO_VIP
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
-from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 VIP_REGISTER = "vip-register"      # host -> home gateway (new physical)
 VIP_INVALIDATE = "vip-invalidate"  # flood: purge binding for a VIP
@@ -374,16 +371,13 @@ class SonyVIPScenario(UDPProbeScenario):
     ) -> None:
         sim = sim or Simulator(seed=seed)
         super().__init__(sim, n_cells)
-        world = build_world(sim, {"kind": "star", "n_cells": n_cells})
-        self.world = world
-        self.topo: StarTopology = world.topo
         self.router_agents: List[VIPRouterAgent] = [
             VIPRouterAgent(router)
             for router in [self.topo.corr_router, *self.topo.cell_routers]
         ]
         self.home_gateway = VIPHomeGateway(self.topo.home_router)
 
-        correspondent = world.correspondents[0]
+        correspondent = self.world.correspondents[0]
         self.sender_agent = VIPHostAgent(
             correspondent, vip=self.topo.correspondent_address
         )

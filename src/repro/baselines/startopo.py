@@ -2,37 +2,32 @@
 
 One backbone LAN joins: a home network (where the mobile host's
 permanent address lives), a correspondent network, and ``n_cells``
-foreign attachment networks.  Protocol roles (agents, MSRs, forwarders,
-PFSs, base stations) are attached by each scenario on top of the plain
-routers built here, so every protocol sees the identical physical
-internetwork.
+foreign attachment networks (:func:`repro.plan.star_plan`).  Protocol
+roles (agents, MSRs, forwarders, PFSs, base stations) are attached by
+each scenario on top of the plain routers, so every protocol sees the
+identical physical internetwork.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List
 
-from repro.ip.address import IPAddress, IPNetwork
+from repro.ip.address import IPAddress
 from repro.ip.router import Router
-from repro.link.medium import LAN, WirelessCell
-from repro.netsim.simulator import Simulator
+from repro.scenario.world import World
+from repro.workloads.topology import CampusTopology
 
 
-@dataclass
-class StarTopology:
-    sim: Simulator
-    backbone: LAN
-    backbone_net: IPNetwork
-    home_lan: LAN
-    home_net: IPNetwork
-    home_router: Router
-    corr_lan: LAN
-    corr_net: IPNetwork
-    corr_router: Router
-    cells: List[WirelessCell] = field(default_factory=list)
-    cell_nets: List[IPNetwork] = field(default_factory=list)
-    cell_routers: List[Router] = field(default_factory=list)
+class StarTopology(CampusTopology):
+    """The star-of-routers view under the names the baselines use."""
+
+    def __init__(self, world: World) -> None:
+        super().__init__(world)
+        self.home_net = self.home_prefix
+        self.corr_lan = self.correspondent_lan
+        self.corr_net = self.correspondent_prefix
+        self.corr_router = self.correspondent_router
+        self.cell_nets = self.cell_prefixes
 
     @property
     def mobile_home_address(self) -> IPAddress:
@@ -45,65 +40,3 @@ class StarTopology:
 
     def all_routers(self) -> List[Router]:
         return [self.home_router, self.corr_router, *self.cell_routers]
-
-
-def build_star(
-    sim: Simulator,
-    n_cells: int,
-    lan_latency: float = 0.001,
-    wireless_latency: float = 0.003,
-) -> StarTopology:
-    """Build the star internetwork (no hosts, no protocol roles)."""
-    if not 1 <= n_cells <= 200:
-        raise ValueError("n_cells must be in 1..200")
-    backbone_net = IPNetwork("10.0.0.0/16")
-    backbone = LAN(sim, "backbone", latency=lan_latency)
-
-    home_net = IPNetwork("10.1.0.0/24")
-    home_lan = LAN(sim, "home", latency=lan_latency)
-    home_router = Router(sim, "HR")
-    home_router.add_interface("bb", backbone_net.host(1), backbone_net, medium=backbone)
-    home_router.add_interface("lan", home_net.host(254), home_net, medium=home_lan)
-
-    corr_net = IPNetwork("10.2.0.0/24")
-    corr_lan = LAN(sim, "corr", latency=lan_latency)
-    corr_router = Router(sim, "CR")
-    corr_router.add_interface("bb", backbone_net.host(2), backbone_net, medium=backbone)
-    corr_router.add_interface("lan", corr_net.host(254), corr_net, medium=corr_lan)
-
-    topo = StarTopology(
-        sim=sim,
-        backbone=backbone,
-        backbone_net=backbone_net,
-        home_lan=home_lan,
-        home_net=home_net,
-        home_router=home_router,
-        corr_lan=corr_lan,
-        corr_net=corr_net,
-        corr_router=corr_router,
-    )
-
-    home_router.routing_table.add_next_hop(corr_net, backbone_net.host(2), "bb")
-    corr_router.routing_table.add_next_hop(home_net, backbone_net.host(1), "bb")
-
-    for i in range(n_cells):
-        third_octet = 100 + (i // 250)
-        cell_net = IPNetwork(IPAddress((10 << 24) | (third_octet << 16) | ((i % 250) << 8)).value, 24)
-        cell = WirelessCell(sim, f"cell{i}", latency=wireless_latency)
-        router = Router(sim, f"FR{i}")
-        bb_addr = backbone_net.host(10 + i)
-        router.add_interface("bb", bb_addr, backbone_net, medium=backbone)
-        router.add_interface("cell", cell_net.host(254), cell_net, medium=cell)
-        router.routing_table.set_default(backbone_net.host(1), "bb")
-        home_router.routing_table.add_next_hop(cell_net, bb_addr, "bb")
-        corr_router.routing_table.add_next_hop(cell_net, bb_addr, "bb")
-        for j, other in enumerate(topo.cell_routers):
-            other.routing_table.add_next_hop(cell_net, bb_addr, "bb")
-            router.routing_table.add_next_hop(
-                topo.cell_nets[j], backbone_net.host(10 + j), "bb"
-            )
-        topo.cells.append(cell)
-        topo.cell_nets.append(cell_net)
-        topo.cell_routers.append(router)
-
-    return topo

@@ -23,11 +23,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.baselines.scenario_base import UDPProbeScenario
-from repro.baselines.startopo import StarTopology
 from repro.core.registration import (
-    ControlDispatcher,
     RegistrationMessage,
-    ReliableRegistrar,
     next_seq,
 )
 from repro.ip.address import IPAddress
@@ -39,7 +36,7 @@ from repro.ip.packet import IPPacket
 from repro.ip.router import Router
 from repro.link.medium import Medium
 from repro.netsim.simulator import Simulator
-from repro.scenario.world import build_world
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 # Control message kinds (namespaced to coexist with other dispatchers).
 SP_REGISTER = "sp-register"   # mobile host -> global registry
@@ -305,9 +302,6 @@ class SunshinePostelScenario(UDPProbeScenario):
     ) -> None:
         sim = sim or Simulator(seed=seed)
         super().__init__(sim, n_cells)
-        world = build_world(sim, {"kind": "star", "n_cells": n_cells})
-        self.world = world
-        self.topo: StarTopology = world.topo
         # The global registry lives on a dedicated backbone host.
         registry_host = Host(sim, "REGISTRY")
         registry_host.add_interface(
@@ -321,7 +315,7 @@ class SunshinePostelScenario(UDPProbeScenario):
             Forwarder(self.topo.home_router, "lan")
         ] + [Forwarder(router, "cell") for router in self.topo.cell_routers]
 
-        correspondent = world.correspondents[0]
+        correspondent = self.world.correspondents[0]
         self.sender = SPSender(correspondent, self.registry.address)
 
         mobile = Host(sim, "M")

@@ -1,102 +1,33 @@
-"""Convenience assembly of the common agent deployments.
+"""The common agent deployments on simulator nodes.
 
-Section 2: "The functionality of a foreign agent, home agent, and cache
-agent may be provided by separate hosts or routers on a network, or may
-be combined in different ways on one or more hosts or routers ... any
-node functioning as a home agent, foreign agent, or mobile host should
-generally also function as a cache agent."
-
-:func:`make_agent_router` builds the recommended combination on one
-router, with the extension ordering the roles require:
-
-1. the **foreign agent** first (so packets for locally visiting hosts
-   are delivered on-link before anything else looks at them),
-2. the **home agent** second (interception of away hosts' traffic),
-3. the **cache agent** last (tunneling is an optimization applied only
-   to packets the agents above did not claim).
+:func:`make_agent_router` is
+:func:`repro.wire.roles.compose_agent_roles` (the one place the Section 2
+role combination and its attach order are written) bound to the
+simulator's role adapters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.core.cache_agent import CacheAgent
 from repro.core.foreign_agent import ForeignAgent
 from repro.core.home_agent import HomeAgent
-from repro.core.persistence import LocationStore, MemoryStore
+from repro.core.icmp_handling import TunnelErrorHandler
 from repro.ip.node import IPNode
+from repro.wire.roles import AgentRouter, RoleClasses, compose_agent_roles
+
+__all__ = ["AgentRouter", "SIM_ROLES", "make_agent_router"]
+
+#: The simulator-bound role constructors.
+SIM_ROLES = RoleClasses(
+    foreign_agent=ForeignAgent.attach,
+    home_agent=HomeAgent.attach,
+    cache_agent=CacheAgent,
+    tunnel_errors=TunnelErrorHandler.attach,
+)
 
 
-@dataclass
-class AgentRouter:
-    """The composed roles living on one node."""
-
-    node: IPNode
-    cache_agent: Optional[CacheAgent]
-    foreign_agent: Optional[ForeignAgent]
-    home_agent: Optional[HomeAgent]
-
-
-def make_agent_router(
-    node: IPNode,
-    home_iface: Optional[str] = None,
-    foreign_iface: Optional[str] = None,
-    cache: bool = True,
-    store: Optional[LocationStore] = None,
-    durable_database: bool = True,
-    **agent_kwargs,
-) -> AgentRouter:
-    """Attach agent roles to ``node``.
-
-    Args:
-        node: the router (or support host) to equip.
-        home_iface: interface of the home network to serve as home agent
-            for (``None`` = no home-agent role).
-        foreign_iface: interface visitors attach through (``None`` = no
-            foreign-agent role).
-        cache: also run a cache agent (recommended by the paper).
-        store: durable store for the home agent database; when ``None``
-            and ``durable_database`` is true, a fresh
-            :class:`~repro.core.persistence.MemoryStore` plays the disk.
-        agent_kwargs: forwarded to both agent constructors where
-            applicable (e.g. ``max_previous_sources``).
-    """
-    cache_agent: Optional[CacheAgent] = None
-    foreign_agent: Optional[ForeignAgent] = None
-    home_agent: Optional[HomeAgent] = None
-
-    # Split kwargs: some options only make sense for one of the roles.
-    fa_only = {"keep_forwarding_pointers", "believe_home_agent"}
-    fa_kwargs = {k: v for k, v in agent_kwargs.items()}
-    ha_kwargs = {k: v for k, v in agent_kwargs.items() if k not in fa_only}
-
-    # Note the attach order: ForeignAgent then HomeAgent add themselves
-    # as extensions in that order; CacheAgent is constructed last.
-    if foreign_iface is not None:
-        foreign_agent = ForeignAgent.attach(node, foreign_iface, **fa_kwargs)
-    if home_iface is not None:
-        if store is None and durable_database:
-            store = MemoryStore()
-        home_agent = HomeAgent.attach(node, home_iface, store=store, **ha_kwargs)
-    if cache:
-        cache_agent = CacheAgent(node, examine_forwarded=False)
-        if foreign_agent is not None:
-            foreign_agent.cache_agent = cache_agent
-        if home_agent is not None:
-            # The co-located cache must never contradict the home
-            # agent's authoritative database about its *own* mobile
-            # hosts: every registration refreshes (or clears, for a
-            # return home) the cache entry.
-            home_agent.location_listeners.append(cache_agent.learn)
-    # Every agent is a tunnel head, so every agent reverses returned ICMP
-    # errors (Section 4.5).
-    from repro.core.icmp_handling import TunnelErrorHandler
-
-    TunnelErrorHandler.attach(node, cache_agent=cache_agent)
-    return AgentRouter(
-        node=node,
-        cache_agent=cache_agent,
-        foreign_agent=foreign_agent,
-        home_agent=home_agent,
-    )
+def make_agent_router(node: IPNode, **kwargs) -> AgentRouter:
+    """Attach agent roles to a simulator node; the keyword arguments are
+    :func:`~repro.wire.roles.compose_agent_roles`'s (``home_iface``,
+    ``foreign_iface``, ``cache``, ``store``, ...)."""
+    return compose_agent_roles(SIM_ROLES, node, **kwargs)

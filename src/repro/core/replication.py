@@ -38,14 +38,13 @@ from repro.core.discovery import AgentAdvertiser
 from repro.core.home_agent import HomeAgent
 from repro.core.persistence import LocationStore, MemoryStore
 from repro.core.registration import (
-    ControlDispatcher,
     RegistrationMessage,
-    ReliableRegistrar,
     next_seq,
 )
 from repro.errors import ConfigurationError
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 HA_SYNC = "ha-sync"                  # active -> standby: one db entry
 HA_HEARTBEAT = "ha-heartbeat"        # active -> standbys

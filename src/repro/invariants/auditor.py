@@ -106,21 +106,13 @@ class InvariantAuditor:
     #: Role attribute this instrument occupies on the simulator.
     instrument_role = "auditor"
 
-    def attach(self, sim) -> "InvariantAuditor":
-        """Wire this auditor into ``sim`` and return it.
+    def bind(self, sim) -> None:
+        """Instrument-registry hook: wire the trace listener into ``sim``.
 
         Requires the ``mhrp.tunnel`` / ``mhrp.loop`` trace categories to
         be recordable (the default) for re-tunnel accounting; the
         dataplane and link hooks work regardless of tracer state.
-
-        Thin shim over :meth:`Simulator.attach
-        <repro.netsim.simulator.Simulator.attach>`.
         """
-        sim.attach(self)
-        return self
-
-    def bind(self, sim) -> None:
-        """Instrument-registry hook: wire the trace listener into ``sim``."""
         self.sim = sim
         sim.tracer.subscribe(self._on_trace)
 

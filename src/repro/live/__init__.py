@@ -8,6 +8,6 @@ speed-scaled virtual clock.  The protocol code is byte-for-byte the
 transport and the clock differ.
 """
 
-from repro.live.backend import LiveRun, VirtualClock, run_live_spec
+from repro.live.backend import LiveRun, VirtualClock
 
-__all__ = ["LiveRun", "VirtualClock", "run_live_spec"]
+__all__ = ["LiveRun", "VirtualClock"]

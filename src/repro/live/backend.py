@@ -12,7 +12,9 @@ its simulated value.
 
 Known simplifications versus the simulator (documented in PROTOCOL.md):
 no ARP (address resolution is the directory lookup), no link-layer
-loss, and timer/datagram timing carries real scheduler jitter — which
+loss (media latency *is* honoured: each datagram is handed to its socket
+after the plan's per-medium latency on the virtual clock), and
+timer/datagram timing carries real scheduler jitter — which
 is exactly why the conformance projections compare per-node event
 *order* and timing-free counts, not timestamps.
 """
@@ -112,10 +114,10 @@ class LiveRun(ScheduleActions):
     """One scenario executed over loopback UDP.
 
     Build, then ``asyncio.run(run.main())`` — or use
-    :func:`run_live_spec`, which does both.  After the run, ``events``
-    holds the full time-stamped protocol-event log in the same shape
-    the deterministic driver produces, so the conformance harness can
-    diff the two backends directly.
+    :func:`repro.backend.run` with ``backend="live"``, which does both.
+    After the run, ``events`` holds the full time-stamped protocol-event
+    log in the same shape the deterministic driver produces, so the
+    conformance harness can diff the two backends directly.
     """
 
     def __init__(
@@ -220,6 +222,17 @@ class LiveRun(ScheduleActions):
             self._endpoint_counters[key] = counter
         return counter
 
+    def _send(
+        self, transport, medium: str, data: bytes, node_name: str, iface_name: str
+    ) -> None:
+        """Put ``data`` on the wire to one endpoint after the medium's
+        propagation latency (virtual seconds, from the bound plan)."""
+        handle = asyncio.get_running_loop().call_later(
+            self.clock.wall_delay(self.topo.latency[medium]),
+            transport.sendto, data, (LOOPBACK, self.port_of(node_name, iface_name)),
+        )
+        self._handles.append(handle)
+
     def _transmit(self, node: NodeEngine, datagram: Datagram) -> None:
         obs = self.obs
         medium = self.world.medium_of(node.name, datagram.iface)
@@ -234,8 +247,7 @@ class LiveRun(ScheduleActions):
             for member_node, member_iface in self.world.media[medium]:
                 if member_node == node.name and member_iface == datagram.iface:
                     continue
-                port = self.port_of(member_node, member_iface)
-                transport.sendto(datagram.data, (LOOPBACK, port))
+                self._send(transport, medium, datagram.data, member_node, member_iface)
                 fanout += 1
             self.datagrams_sent += fanout
             if obs is not None and fanout:
@@ -247,7 +259,7 @@ class LiveRun(ScheduleActions):
             if obs is not None:
                 self._endpoint_counter(node.name, datagram.iface, "unresolved").inc()
             return
-        transport.sendto(datagram.data, (LOOPBACK, self.port_of(*target)))
+        self._send(transport, medium, datagram.data, *target)
         self.datagrams_sent += 1
         if obs is not None:
             self._endpoint_counter(node.name, datagram.iface, "tx").inc()
@@ -482,27 +494,3 @@ def _run_live_spec(
     )
     asyncio.run(run.main())
     return run
-
-
-def run_live_spec(
-    spec,
-    speed: float = DEFAULT_SPEED,
-    health=None,
-    obs=None,
-    serve_metrics: bool = False,
-    snapshot_path: Optional[str] = None,
-) -> LiveRun:
-    """Deprecated one-call entry point; use ``repro.backend.run(spec,
-    backend="live")`` instead.  Kept (warning) for one release."""
-    import warnings
-
-    warnings.warn(
-        "run_live_spec() is deprecated; use "
-        "repro.backend.run(spec, backend='live') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_live_spec(
-        spec, speed=speed, health=health, obs=obs,
-        serve_metrics=serve_metrics, snapshot_path=snapshot_path,
-    )

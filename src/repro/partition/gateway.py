@@ -24,34 +24,41 @@ from __future__ import annotations
 from repro.ip.address import IPNetwork
 from repro.ip.dataplane import CONSUMED
 from repro.ip.router import Router
-from repro.workloads.hierarchy import campus_of_address_value
+from repro.workloads.hierarchy import (
+    campus_address_base,
+    campus_name_prefix,
+    campus_of_address_value,
+)
 
 #: Backbone host number reserved for the border gateway (campus routers
-#: use 1, 2 and 10..159; see ``build_campus``'s address plan).
+#: use 1, 2 and 10..159; see :func:`repro.plan.campus_plan`).
 GATEWAY_HOST = 250
 
 
 class BorderGateway:
     """One campus's connection to the rest of the partitioned world."""
 
-    def __init__(
-        self,
-        runtime,
-        campus: int,
-        backbone,
-        backbone_net: IPNetwork,
-        n_campuses: int,
-    ) -> None:
+    def __init__(self, runtime, campus: int, home_router: Router, n_campuses: int) -> None:
         self.runtime = runtime
         self.campus = campus
         self.n_campuses = n_campuses
-        self.router = Router(runtime.sim, f"c{campus}.GW")
+        backbone = home_router.interfaces["bb"]
+        backbone_net = backbone.network
+        self.router = Router(runtime.sim, f"{campus_name_prefix(campus)}GW")
         self.router.add_interface(
-            "bb", backbone_net.host(GATEWAY_HOST), backbone_net, medium=backbone
+            "bb", backbone_net.host(GATEWAY_HOST), backbone_net, medium=backbone.medium
         )
         # Everything campus-internal goes back via the home router, which
-        # knows every local prefix.
-        self.router.routing_table.set_default(backbone_net.host(1), "bb")
+        # knows every local prefix — and routes every *other* campus's
+        # supernet here.
+        self.router.routing_table.set_default(backbone.ip_address, "bb")
+        for other in range(n_campuses):
+            if other != campus:
+                home_router.routing_table.add_next_hop(
+                    IPNetwork(f"{campus_address_base(other)}.0.0.0/8"),
+                    backbone_net.host(GATEWAY_HOST),
+                    "bb",
+                )
         self.router.dataplane.register(
             "transit", self._transit, name="partition-border"
         )

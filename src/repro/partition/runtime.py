@@ -45,13 +45,18 @@ from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.ip.address import IPAddress, IPNetwork
-from repro.ip.packet import IPPacket, RawPayload
-from repro.ip.protocols import CONVERGENCE_PROBE as PROBE_PROTOCOL
+from repro.ip.address import IPAddress
 from repro.netsim.simulator import Simulator
 from repro.partition.gateway import BorderGateway
-from repro.scenario.session import reset_global_counters
-from repro.scenario.spec import PROBE_GAP, ScenarioSpec
+from repro.plan import campus_mobile_host
+from repro.scenario.session import (
+    PROBE_PROTOCOL,
+    ScheduleInstaller,
+    discard_probe,
+    reset_global_counters,
+)
+from repro.scenario.spec import ScenarioSpec
+from repro.scenario.world import bind_sim_node, build_world
 from repro.wire.logic import DISCONNECTED
 from repro.workloads.hierarchy import (
     HierarchyModel,
@@ -59,6 +64,7 @@ from repro.workloads.hierarchy import (
     campus_address_base,
     campus_name_prefix,
 )
+from repro.workloads.traffic import CBRStream
 
 #: Export payload kinds crossing partition boundaries.
 EXPORT_KINDS = ("packet", "migrate", "control", "load")
@@ -69,66 +75,7 @@ def derive_partition_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + 7919 * (index + 1)) % (2**31)
 
 
-def _discard_probe(packet, iface) -> None:
-    """Convergence probes signal by delivery; the payload is discarded."""
-
-
-class _FlowSender:
-    """The sender half of a cross-partition CBR flow.
-
-    Pacing and payload framing match
-    :class:`~repro.workloads.traffic.CBRStream` exactly; only the
-    receiver-side binding is split off (the receiver may live in — or
-    migrate to — another partition)."""
-
-    def __init__(
-        self,
-        sim,
-        sender,
-        dst_address: IPAddress,
-        interval: float,
-        port: int,
-        start_at: float,
-        count: int,
-        payload_size: int = 64,
-    ) -> None:
-        self.sim = sim
-        self.dst_address = dst_address
-        self.interval = interval
-        self.port = port
-        self.start_at = start_at
-        self.count = count
-        self.payload_size = max(payload_size, 8)
-        self.sent = 0
-        self._sock = sender.udp.bind()
-
-    def start(self) -> None:
-        self.sim.schedule_at(self.start_at, self._tick, label="cbr-send")
-
-    def _tick(self) -> None:
-        if self.count is not None and self.sent >= self.count:
-            return
-        seq = self.sent
-        self.sent += 1
-        payload = seq.to_bytes(8, "big") + b"\x00" * (self.payload_size - 8)
-        self._sock.send_to(payload, self.dst_address, self.port)
-        if self.count is None or self.sent < self.count:
-            self.sim.schedule(self.interval, self._tick, label="cbr-send")
-
-
-class _FlowSink:
-    """The receiver half: a counting UDP sink bound on a mobile host."""
-
-    def __init__(self, mh, port: int) -> None:
-        self.received = 0
-        sock = mh.udp.bind(port)
-        sock.on_receive = self._on_receive
-
-    def _on_receive(self, data: bytes, src, src_port: int) -> None:
-        self.received += 1
-
-
-class PartitionRuntime:
+class PartitionRuntime(ScheduleInstaller):
     """One campus partition: simulator, world slice, owned schedule."""
 
     def __init__(
@@ -137,8 +84,6 @@ class PartitionRuntime:
         model: Optional[HierarchyModel] = None,
         index: int = 0,
     ) -> None:
-        from repro.workloads.topology import build_campus
-
         reset_global_counters()
         self.spec = spec
         self.model = model or HierarchyModel.from_spec(spec)
@@ -162,42 +107,21 @@ class PartitionRuntime:
         self.cells_per_campus = int(params.get("n_cells", 1))
         self.corr_per_campus = int(params.get("n_correspondents", 1))
 
-        base = campus_address_base(index)
-        self.topo = build_campus(
-            sim=self.sim,
-            address_base=base,
-            name_prefix=campus_name_prefix(index),
-            **params,
+        self.world = build_world(
+            self.sim,
+            {
+                **params,
+                "kind": "campus",
+                "address_base": campus_address_base(index),
+                "name_prefix": campus_name_prefix(index),
+            },
         )
-        backbone_net = IPNetwork(f"{base}.0.0.0/16")
         self.gateway = BorderGateway(
-            self, index, self.topo.backbone, backbone_net, self.model.n_campuses
+            self, index, self.world.home_roles.node, self.model.n_campuses
         )
-        for other in range(self.model.n_campuses):
-            if other == index:
-                continue
-            self.topo.home_router.routing_table.add_next_hop(
-                IPNetwork(f"{campus_address_base(other)}.0.0.0/8"),
-                backbone_net.host(250),
-                "bb",
-            )
-
-        for mh in self.topo.mobile_hosts:
-            mh.register_protocol(PROBE_PROTOCOL, _discard_probe)
-
-        self._fault_nodes = {"HR": self.topo.home_router}
-        for i, router in enumerate(self.topo.cell_routers):
-            self._fault_nodes[f"FR{i}"] = router
-
-        self._nodes = [
-            self.topo.home_router,
-            self.gateway.router,
-            *self.topo.cell_routers,
-            *self.topo.correspondents,
-            *self.topo.mobile_hosts,
-        ]
-        for entry in spec.instruments:
-            self._attach_instrument(entry)
+        observed = list(self.world.nodes)
+        observed.insert(1, self.gateway.router)
+        self._attach_instruments(spec.instruments, observed)
 
         # -- cross-partition bookkeeping -------------------------------
         self._outbox: List[Tuple[int, float, str, bytes, int]] = []
@@ -208,7 +132,8 @@ class PartitionRuntime:
         self._departed: Dict[int, int] = {}
         #: Global host index -> local MobileHost object (home or visitor).
         self._materialized: Dict[int, object] = {}
-        self._sinks: Dict[Tuple[int, int], _FlowSink] = {}
+        #: (host, port) -> the UDP socket counting that flow's arrivals.
+        self._sinks: Dict[Tuple[int, int], object] = {}
         self._flows: List[object] = []
         self.counters: Dict[str, int] = {
             "packets_exported": 0,
@@ -223,7 +148,7 @@ class PartitionRuntime:
         for local in range(hpc):
             h = index * hpc + local
             self._here.add(h)
-            self._materialized[h] = self.topo.mobile_hosts[local]
+            self._materialized[h] = self.world.mobile_hosts[local]
 
         self.load: Optional[RegistrationLoadModel] = None
         if load_params is not None:
@@ -242,110 +167,72 @@ class PartitionRuntime:
             )
             self.load.install()
 
-        self._install_schedule()
+        self._install(spec.entries())
 
     # ------------------------------------------------------------------
     # Build helpers
     # ------------------------------------------------------------------
-    def _attach_instrument(self, entry: Dict[str, object]) -> None:
-        params = dict(entry)
-        kind = params.pop("kind", None)
-        if kind == "health":
-            from repro.telemetry import ProtocolHealth
-
-            self.sim.attach(ProtocolHealth(**params), nodes=self._nodes)
-        elif kind == "auditor":
-            from repro.invariants import InvariantAuditor
-
-            self.sim.attach(InvariantAuditor(**params))
-        elif kind == "obs":
-            from repro.obs import ObsPlane
-
-            self.sim.attach(ObsPlane(**params))
-        else:
-            raise ValueError(f"unknown instrument kind {kind!r}")
-
     def home_campus(self, host: int) -> int:
         return host // self.hosts_per_campus
 
-    def host_home_address(self, host: int) -> IPAddress:
-        """A global host's permanent address, from the address plan alone
-        (no object needed — the host may live in another partition)."""
-        base = campus_address_base(self.home_campus(host))
-        return IPNetwork(f"{base}.1.0.0/16").host(1 + host % self.hosts_per_campus)
-
-    def _install_schedule(self) -> None:
-        for kind, entry in self.spec.entries():
-            getattr(self, f"_install_{kind}")(entry)
-
-    def _install_move(self, entry: dict) -> None:
-        host = int(entry["host"])
-        if self.home_campus(host) != self.index:
-            return
-        self.sim.schedule_at(
-            entry["t"],
-            partial(self._apply_move, host, int(entry["to"])),
-            label="scenario-move",
+    def _host_plan(self, host: int):
+        """A global host's node plan, from the address plan alone (no
+        object needed — the host may live in another partition)."""
+        home = self.home_campus(host)
+        return campus_mobile_host(
+            campus_address_base(home),
+            campus_name_prefix(home),
+            host % self.hosts_per_campus,
         )
 
-    def _install_fault(self, entry: dict) -> None:
-        if int(entry.get("campus", 0)) != self.index:
-            return
-        self.sim.schedule_at(
-            entry["t"],
-            partial(self._apply_fault, entry["node"], entry["kind"]),
-            label="scenario-fault",
+    def _home_address(self, host: int) -> IPAddress:
+        return self._host_plan(host).home_address
+
+    def _correspondent(self, src: int):
+        return self.world.correspondents[src % self.corr_per_campus]
+
+    def _owner(self, kind: str, entry: dict) -> int:
+        """The partition that installs a schedule entry: a host's home
+        campus owns its moves, a correspondent's campus what it sends."""
+        if kind == "move":
+            return self.home_campus(entry["host"])
+        if kind == "fault":
+            return entry.get("campus", 0)
+        if kind == "flow":
+            return self.index  # sink and sender halves may both be here
+        return entry["src"] // self.corr_per_campus
+
+    def _install(self, entries) -> None:
+        super()._install(
+            (kind, entry) for kind, entry in entries
+            if self._owner(kind, entry) == self.index
         )
 
     def _install_flow(self, entry: dict) -> None:
-        host = int(entry["host"])
-        port = int(entry["port"])
+        host, port = entry["host"], entry["port"]
         if self.home_campus(host) == self.index:
             self._bind_sink(host, port)
-        src = int(entry["src"])
-        if src // self.corr_per_campus != self.index:
+        if entry["src"] // self.corr_per_campus != self.index:
             return
-        sender = self.topo.correspondents[src % self.corr_per_campus]
-        flow = _FlowSender(
-            self.sim,
-            sender,
-            dst_address=self.host_home_address(host),
-            interval=float(entry["interval"]),
+        # Sender half only: the receiver may live in — or migrate to —
+        # another partition, so sinks are bound separately.
+        flow = CBRStream(
+            sender=self._correspondent(entry["src"]),
+            receiver=None,
+            dst_address=self._home_address(host),
+            interval=entry["interval"],
             port=port,
-            start_at=float(entry["start"]),
-            count=int(entry["count"]),
+            start_at=entry["start"],
+            count=entry["count"],
         )
         flow.start()
         self._flows.append(flow)
-
-    def _install_probe(self, entry: dict) -> None:
-        if int(entry["src"]) // self.corr_per_campus != self.index:
-            return
-        self.sim.schedule_at(
-            entry["t"],
-            partial(self._send_probe, int(entry["src"]), int(entry["host"]), False),
-            label="scenario-probe-warm",
-        )
-        self.sim.schedule_at(
-            entry["t"] + PROBE_GAP,
-            partial(self._send_probe, int(entry["src"]), int(entry["host"]), True),
-            label="scenario-probe-audited",
-        )
-
-    def _install_ping(self, entry: dict) -> None:
-        if int(entry["src"]) // self.corr_per_campus != self.index:
-            return
-        self.sim.schedule_at(
-            entry["t"],
-            partial(self._send_ping, int(entry["src"]), int(entry["host"])),
-            label="scenario-ping",
-        )
 
     def _bind_sink(self, host: int, port: int) -> None:
         mh = self._materialized.get(host)
         if mh is None or (host, port) in self._sinks:
             return
-        self._sinks[(host, port)] = _FlowSink(mh, port)
+        self._sinks[(host, port)] = mh.udp.bind(port)
 
     # ------------------------------------------------------------------
     # Schedule actions
@@ -365,43 +252,16 @@ class PartitionRuntime:
                 ("move", host, to),
             )
             return
-        mh = self._materialized[host]
         if to == -2:
-            if mh.iface.attached:
-                mh.disconnect()
-            return
-        target = self.home_campus(host) if to == -1 else to // self.cells_per_campus
+            target = self.index  # a host disconnects wherever it is
+        elif to == -1:
+            target = self.home_campus(host)
+        else:
+            target = to // self.cells_per_campus
         if target != self.index:
             self._migrate(host, target, to)
-        elif to == -1:
-            mh.attach_home(self.topo.home_lan)
         else:
-            mh.attach(self.topo.cells[to % self.cells_per_campus])
-
-    def _apply_fault(self, name: str, kind: str) -> None:
-        node = self._fault_nodes.get(name)
-        if node is None:
-            return
-        if kind == "crash":
-            node.crash()
-        else:
-            node.reboot()
-
-    def _send_probe(self, src: int, host: int, watched: bool) -> None:
-        sender = self.topo.correspondents[src % self.corr_per_campus]
-        packet = IPPacket(
-            src=sender.primary_address,
-            dst=self.host_home_address(host),
-            protocol=PROBE_PROTOCOL,
-            payload=RawPayload(b"convergence-probe"),
-        )
-        if watched and self.sim.auditor is not None:
-            self.sim.auditor.expect_no_retunnels([packet.uid])
-        sender.send(packet)
-
-    def _send_ping(self, src: int, host: int) -> None:
-        sender = self.topo.correspondents[src % self.corr_per_campus]
-        sender.ping(self.host_home_address(host))
+            self._place(self._materialized[host], to)
 
     # ------------------------------------------------------------------
     # Migration (the state_dict wire format)
@@ -437,20 +297,8 @@ class PartitionRuntime:
         mh.temp_address = None
 
     def _make_visitor(self, host: int):
-        from repro.core.mobile_host import MobileHost
-
-        home = self.home_campus(host)
-        base = campus_address_base(home)
-        home_prefix = IPNetwork(f"{base}.1.0.0/16")
-        local = host % self.hosts_per_campus
-        mh = MobileHost(
-            self.sim,
-            f"{campus_name_prefix(home)}M{local}",
-            home_address=home_prefix.host(1 + local),
-            home_network=home_prefix,
-            home_agent=home_prefix.host(65534),
-        )
-        mh.register_protocol(PROBE_PROTOCOL, _discard_probe)
+        mh = bind_sim_node(self.sim, self._host_plan(host), {})
+        mh.register_protocol(PROBE_PROTOCOL, discard_probe)
         self._materialized[host] = mh
         for entry in self.spec.flows:
             if int(entry["host"]) == host:
@@ -467,10 +315,7 @@ class PartitionRuntime:
         self._here.add(host)
         self._departed.pop(host, None)
         self.counters["migrations_in"] += 1
-        if to == -1 and self.home_campus(host) == self.index:
-            mh.attach_home(self.topo.home_lan)
-        else:
-            mh.attach(self.topo.cells[to % self.cells_per_campus])
+        self._place(mh, to)
 
     # ------------------------------------------------------------------
     # Cross-partition exchange surface
@@ -558,7 +403,7 @@ class PartitionRuntime:
             "trace_fingerprint": self.trace_fingerprint(),
             "health": telemetry.summary() if telemetry is not None else None,
             "counters": dict(self.counters),
-            "flow_received": sum(s.received for s in self._sinks.values()),
+            "flow_received": sum(len(s.received) for s in self._sinks.values()),
             "load": self.load.summary() if self.load is not None else None,
             "mobile_state": self.mobile_state(),
         }

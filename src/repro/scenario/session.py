@@ -43,6 +43,7 @@ import itertools
 from typing import Dict, List, Optional
 
 from repro.errors import SnapshotError
+from repro.ip.packet import IPPacket, RawPayload
 from repro.netsim.simulator import Simulator, Timer
 from repro.scenario.spec import PROBE_GAP, ScenarioSpec
 from repro.scenario.world import World, build_world
@@ -139,76 +140,55 @@ def validate_forkable(sim: Simulator) -> None:
 
 
 # ----------------------------------------------------------------------
-# Schedule actions
+# The schedule vocabulary on a simulator world
 # ----------------------------------------------------------------------
-def _discard_probe(packet, iface) -> None:
+def discard_probe(packet, iface) -> None:
     """Protocol handler for convergence probes: delivery is the signal;
     the payload is discarded."""
 
 
-class Session:
-    """A spec, instantiated: simulator + world + installed schedule.
+class ScheduleInstaller:
+    """Instruments and ``move``/``fault``/``probe``/``ping`` entries of a
+    :class:`~repro.scenario.spec.ScenarioSpec`, installed on ``self.sim``
+    over ``self.world``.
 
-    Building a session resets the process-global ID counters, so at most
-    one session may be *live* per process at a time (running two
-    interleaved would interleave their uid sequences).  Sequential
-    sessions — including forks — are fully isolated.
+    :class:`Session` and the per-campus
+    :class:`~repro.partition.runtime.PartitionRuntime` share this; each
+    supplies how indices resolve onto its rosters
+    (:meth:`_correspondent`, :meth:`_home_address`), what a move does,
+    and how flows bind their endpoints.  Every scheduled callable is a
+    :func:`functools.partial` over a bound method: deepcopy-safe by
+    construction.
     """
 
-    def __init__(self, spec: ScenarioSpec) -> None:
-        reset_global_counters()
-        self.spec = spec
-        self.sim = Simulator(seed=spec.seed)
-        if spec.trace_limit is not None:
-            self.sim.tracer.limit(spec.trace_limit)
-        self.world: World = build_world(self.sim, spec.topology)
+    sim: Simulator
+    world: World
+
+    def _attach_instruments(self, entries, nodes: list) -> None:
+        """Attach the spec's ``instruments`` entries (``nodes`` is what
+        the health hub observes), after giving every mobile host its
+        probe sink."""
         for mh in self.world.mobile_hosts:
-            mh.register_protocol(PROBE_PROTOCOL, _discard_probe)
-        for entry in spec.instruments:
-            self._attach_instrument(entry)
-        self._flows: List[object] = []
-        self._tail_installed = False
-        self._install(spec.prefix_entries())
+            mh.register_protocol(PROBE_PROTOCOL, discard_probe)
+        for entry in entries:
+            params = dict(entry)
+            kind = params.pop("kind", None)
+            if kind == "health":
+                from repro.telemetry import ProtocolHealth
 
-    # ------------------------------------------------------------------
-    # Instruments
-    # ------------------------------------------------------------------
-    def _attach_instrument(self, entry: Dict[str, object]) -> None:
-        params = dict(entry)
-        kind = params.pop("kind", None)
-        if kind == "health":
-            from repro.telemetry import ProtocolHealth
+                self.sim.attach(ProtocolHealth(**params), nodes=nodes)
+            elif kind == "auditor":
+                from repro.invariants import InvariantAuditor
 
-            self.sim.attach(ProtocolHealth(**params), nodes=self.world.nodes)
-        elif kind == "auditor":
-            from repro.invariants import InvariantAuditor
+                self.sim.attach(InvariantAuditor(**params))
+            elif kind == "obs":
+                from repro.obs import ObsPlane
 
-            self.sim.attach(InvariantAuditor(**params))
-        elif kind == "obs":
-            from repro.obs import ObsPlane
+                self.sim.attach(ObsPlane(**params))
+            else:
+                raise ValueError(f"unknown instrument kind {kind!r}")
 
-            self.sim.attach(ObsPlane(**params))
-        else:
-            raise ValueError(f"unknown instrument kind {kind!r}")
-
-    @property
-    def telemetry(self):
-        """The attached :class:`~repro.telemetry.ProtocolHealth`, if any."""
-        return self.sim.telemetry
-
-    @property
-    def auditor(self):
-        """The attached :class:`~repro.invariants.InvariantAuditor`, if any."""
-        return self.sim.auditor
-
-    @property
-    def obs(self):
-        """The attached :class:`~repro.obs.ObsPlane`, if any."""
-        return self.sim.obs
-
-    # ------------------------------------------------------------------
-    # Schedule installation
-    # ------------------------------------------------------------------
+    # -- installation --------------------------------------------------
     def _install(self, entries) -> None:
         for kind, entry in entries:
             getattr(self, f"_install_{kind}")(entry)
@@ -226,24 +206,6 @@ class Session:
             functools.partial(self._apply_fault, entry["node"], entry["kind"]),
             label="scenario-fault",
         )
-
-    def _install_flow(self, entry: dict) -> None:
-        from repro.workloads.traffic import CBRStream
-
-        mobile_hosts = self.world.mobile_hosts
-        mh = mobile_hosts[entry["host"] % len(mobile_hosts)]
-        correspondents = self.world.correspondents
-        stream = CBRStream(
-            sender=correspondents[entry["src"] % len(correspondents)],
-            receiver=mh,
-            dst_address=mh.home_address,
-            interval=entry["interval"],
-            port=entry["port"],
-            start_at=entry["start"],
-            count=entry["count"],
-        )
-        stream.start()
-        self._flows.append(stream)
 
     def _install_probe(self, entry: dict) -> None:
         self.sim.schedule_at(
@@ -264,20 +226,7 @@ class Session:
             label="scenario-ping",
         )
 
-    # ------------------------------------------------------------------
-    # Schedule actions (bound methods: deepcopy-safe by construction)
-    # ------------------------------------------------------------------
-    def _apply_move(self, host: int, to: int) -> None:
-        mobile_hosts = self.world.mobile_hosts
-        mh = mobile_hosts[host % len(mobile_hosts)]
-        if to == -2:
-            if mh.iface.attached:
-                mh.disconnect()
-        elif to == -1:
-            mh.attach_home(self.world.home_medium)
-        else:
-            mh.attach(self.world.cells[to % len(self.world.cells)])
-
+    # -- actions -------------------------------------------------------
     def _apply_fault(self, name: str, kind: str) -> None:
         node = self.world.fault_nodes.get(name)
         if node is None:
@@ -287,16 +236,22 @@ class Session:
         else:
             node.reboot()
 
-    def _send_probe(self, src: int, host: int, watched: bool) -> None:
-        from repro.ip.packet import IPPacket, RawPayload
+    def _place(self, mh, to: int) -> None:
+        """A move within this world: ``-2`` disconnects, ``-1`` goes
+        home, anything else is a cell index (wrapping)."""
+        if to == -2:
+            if mh.iface.attached:
+                mh.disconnect()
+        elif to == -1:
+            mh.attach_home(self.world.home_medium)
+        else:
+            mh.attach(self.world.cells[to % len(self.world.cells)])
 
-        correspondents = self.world.correspondents
-        sender = correspondents[src % len(correspondents)]
-        mobile_hosts = self.world.mobile_hosts
-        mh = mobile_hosts[host % len(mobile_hosts)]
+    def _send_probe(self, src: int, host: int, watched: bool) -> None:
+        sender = self._correspondent(src)
         packet = IPPacket(
             src=sender.primary_address,
-            dst=mh.home_address,
+            dst=self._home_address(host),
             protocol=PROBE_PROTOCOL,
             payload=RawPayload(b"convergence-probe"),
         )
@@ -305,11 +260,77 @@ class Session:
         sender.send(packet)
 
     def _send_ping(self, src: int, host: int) -> None:
-        correspondents = self.world.correspondents
-        sender = correspondents[src % len(correspondents)]
+        self._correspondent(src).ping(self._home_address(host))
+
+
+class Session(ScheduleInstaller):
+    """A spec, instantiated: simulator + world + installed schedule.
+
+    Building a session resets the process-global ID counters, so at most
+    one session may be *live* per process at a time (running two
+    interleaved would interleave their uid sequences).  Sequential
+    sessions — including forks — are fully isolated.
+    """
+
+    def __init__(self, spec: ScenarioSpec) -> None:
+        reset_global_counters()
+        self.spec = spec
+        self.sim = Simulator(seed=spec.seed)
+        if spec.trace_limit is not None:
+            self.sim.tracer.limit(spec.trace_limit)
+        self.world: World = build_world(self.sim, spec.topology)
+        self._attach_instruments(spec.instruments, self.world.nodes)
+        self._flows: List[object] = []
+        self._tail_installed = False
+        self._install(spec.prefix_entries())
+
+    @property
+    def telemetry(self):
+        """The attached :class:`~repro.telemetry.ProtocolHealth`, if any."""
+        return self.sim.telemetry
+
+    @property
+    def auditor(self):
+        """The attached :class:`~repro.invariants.InvariantAuditor`, if any."""
+        return self.sim.auditor
+
+    @property
+    def obs(self):
+        """The attached :class:`~repro.obs.ObsPlane`, if any."""
+        return self.sim.obs
+
+    # ------------------------------------------------------------------
+    # Rosters, flows and moves (indices wrap around the rosters)
+    # ------------------------------------------------------------------
+    def _mobile_host(self, index: int):
         mobile_hosts = self.world.mobile_hosts
-        mh = mobile_hosts[host % len(mobile_hosts)]
-        sender.ping(mh.home_address)
+        return mobile_hosts[index % len(mobile_hosts)]
+
+    def _correspondent(self, src: int):
+        correspondents = self.world.correspondents
+        return correspondents[src % len(correspondents)]
+
+    def _home_address(self, host: int):
+        return self._mobile_host(host).home_address
+
+    def _install_flow(self, entry: dict) -> None:
+        from repro.workloads.traffic import CBRStream
+
+        mh = self._mobile_host(entry["host"])
+        stream = CBRStream(
+            sender=self._correspondent(entry["src"]),
+            receiver=mh,
+            dst_address=mh.home_address,
+            interval=entry["interval"],
+            port=entry["port"],
+            start_at=entry["start"],
+            count=entry["count"],
+        )
+        stream.start()
+        self._flows.append(stream)
+
+    def _apply_move(self, host: int, to: int) -> None:
+        self._place(self._mobile_host(host), to)
 
     # ------------------------------------------------------------------
     # Execution

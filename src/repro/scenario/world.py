@@ -1,13 +1,14 @@
-"""Instantiate a spec's ``topology`` dict into live simulation objects.
+"""Bind a :class:`~repro.plan.TopologyPlan` to live simulation objects.
 
-:func:`build_world` is the single dispatch point between declarative
-topology descriptions and the imperative builders in
-:mod:`repro.workloads.topology` and :mod:`repro.baselines.startopo`.
-The returned :class:`World` presents every shape through one vocabulary
-— a home medium, an ordered cell list, mobile hosts, correspondents,
-and named fault targets — which is what lets one session kernel drive
-Figure-1 walkthroughs, campus fuzz scenarios, and the comparison star
-alike.
+:func:`bind_sim` is the simulator binder: it walks the plan in order and
+builds ``Router``/``Host``/``MobileHost`` nodes on ``LAN``/``WirelessCell``
+media (:func:`repro.wire.topo.bind_engine` is its engine twin over the
+same plan).  The returned :class:`World` presents every shape through
+one vocabulary — a home medium, an ordered cell list, mobile hosts,
+correspondents, and named fault targets — which is what lets one session
+kernel drive Figure-1 walkthroughs, campus fuzz scenarios, and the
+comparison star alike.  :func:`build_world` goes from a spec's
+``topology`` dict straight to the bound world.
 """
 
 from __future__ import annotations
@@ -15,172 +16,107 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.core.agent_router import make_agent_router
+from repro.core.mobile_host import MobileHost, StationaryCorrespondent
+from repro.ip.address import IPNetwork
+from repro.ip.host import Host
+from repro.ip.node import IPNode
+from repro.ip.router import Router
+from repro.link.medium import LAN, Medium, WirelessCell
 from repro.netsim.simulator import Simulator
+from repro.plan import MOBILE, ROUTER, NodePlan, TopologyPlan, plan_for
+from repro.wire.roles import AgentRouter
 
 
 @dataclass
 class World:
-    """A built topology, normalized for the session kernel.
+    """A bound topology, normalized for the session kernel.
 
     ``cells[i]`` is the medium a ``move`` entry with ``to == i``
     attaches to; ``fault_nodes[name]`` is the node a ``fault`` entry
     crashes or reboots; ``nodes`` is the roster instruments observe.
+    ``by_name``/``media``/``prefixes``/``roles`` index everything the
+    plan built by its plan name, for shape-specific access.
     """
 
     sim: Simulator
     kind: str
-    #: The underlying builder's topology object, for shape-specific access.
-    topo: object
-    home_medium: object
-    cells: List[object] = field(default_factory=list)
-    mobile_hosts: List[object] = field(default_factory=list)
-    correspondents: List[object] = field(default_factory=list)
-    fault_nodes: Dict[str, object] = field(default_factory=dict)
-    nodes: List[object] = field(default_factory=list)
-    home_roles: Optional[object] = None
-    cell_roles: List[object] = field(default_factory=list)
+    home_medium: Medium
+    cells: List[Medium] = field(default_factory=list)
+    mobile_hosts: List[MobileHost] = field(default_factory=list)
+    correspondents: List[Host] = field(default_factory=list)
+    fault_nodes: Dict[str, IPNode] = field(default_factory=dict)
+    nodes: List[IPNode] = field(default_factory=list)
+    home_roles: Optional[AgentRouter] = None
+    cell_roles: List[AgentRouter] = field(default_factory=list)
+    by_name: Dict[str, IPNode] = field(default_factory=dict)
+    media: Dict[str, Medium] = field(default_factory=dict)
+    #: medium name -> the IP prefix living on it.
+    prefixes: Dict[str, IPNetwork] = field(default_factory=dict)
+    roles: Dict[str, AgentRouter] = field(default_factory=dict)
 
 
-def _build_figure1(sim: Simulator, params: dict) -> World:
-    from repro.workloads.topology import build_figure1
-
-    topo = build_figure1(sim=sim, **params)
-    routers = [topo.r1, topo.r2, topo.r3, topo.r4, topo.r5]
-    return World(
-        sim=sim,
-        kind="figure1",
-        topo=topo,
-        home_medium=topo.net_b,
-        cells=[topo.net_d, topo.net_e],
-        mobile_hosts=[topo.m],
-        correspondents=[topo.s],
-        fault_nodes={f"R{i + 1}": router for i, router in enumerate(routers)},
-        nodes=[topo.s, *routers, topo.m],
-        home_roles=topo.r2_roles,
-        cell_roles=[topo.r4_roles, topo.r5_roles],
-    )
-
-
-def _build_campus(sim: Simulator, params: dict) -> World:
-    from repro.workloads.topology import build_campus
-
-    topo = build_campus(sim=sim, **params)
-    fault_nodes: Dict[str, object] = {"HR": topo.home_router}
-    for i, router in enumerate(topo.cell_routers):
-        fault_nodes[f"FR{i}"] = router
-    return World(
-        sim=sim,
-        kind="campus",
-        topo=topo,
-        home_medium=topo.home_lan,
-        cells=list(topo.cells),
-        mobile_hosts=list(topo.mobile_hosts),
-        correspondents=list(topo.correspondents),
-        fault_nodes=fault_nodes,
-        nodes=[
-            topo.home_router,
-            *topo.cell_routers,
-            *topo.correspondents,
-            *topo.mobile_hosts,
-        ],
-        home_roles=topo.home_roles,
-        cell_roles=list(topo.cell_roles),
-    )
-
-
-def _build_star(sim: Simulator, params: dict) -> World:
-    """The comparison star: shared by every baseline-protocol scenario.
-
-    Always builds the star routers plus the correspondent host ``C``
-    (the wiring previously copy-pasted across all six scenarios).  With
-    ``mhrp=True`` it also attaches the paper's agent roles to every
-    router and creates the mobile host ``M`` — the MHRP half the campus
-    and Figure-1 builders already know how to wire.  Baselines running a
-    *different* protocol pass ``mhrp=False`` and attach their own roles
-    and mobile client to the returned world.
-    """
-    from repro.baselines.startopo import build_star
-    from repro.ip.host import Host
-
-    params = dict(params)
-    n_cells = int(params.pop("n_cells", 3))
-    mhrp = bool(params.pop("mhrp", False))
-    sender_caches = bool(params.pop("sender_caches", False))
-    lan_latency = params.pop("lan_latency", 0.001)
-    wireless_latency = params.pop("wireless_latency", 0.003)
-
-    topo = build_star(
-        sim, n_cells, lan_latency=lan_latency, wireless_latency=wireless_latency
-    )
-
-    if sender_caches:
-        from repro.core.mobile_host import StationaryCorrespondent
-
-        correspondent: Host = StationaryCorrespondent(sim, "C")
-    else:
-        correspondent = Host(sim, "C")
-    correspondent.add_interface(
-        "eth0", topo.correspondent_address, topo.corr_net, medium=topo.corr_lan
-    )
-    correspondent.set_gateway(topo.corr_net.host(254))
-
-    world = World(
-        sim=sim,
-        kind="star",
-        topo=topo,
-        home_medium=topo.home_lan,
-        cells=list(topo.cells),
-        correspondents=[correspondent],
-        fault_nodes={
-            "HR": topo.home_router,
-            **{f"FR{i}": r for i, r in enumerate(topo.cell_routers)},
-        },
-        nodes=[correspondent, topo.home_router, *topo.cell_routers],
-    )
-
-    if mhrp:
-        from repro.core.agent_router import make_agent_router
-        from repro.core.mobile_host import MobileHost
-
-        world.home_roles = make_agent_router(
-            topo.home_router, home_iface="lan", **params
-        )
-        world.cell_roles = [
-            make_agent_router(router, foreign_iface="cell", **params)
-            for router in topo.cell_routers
-        ]
-        mobile = MobileHost(
+def bind_sim_node(sim: Simulator, plan: NodePlan, media: Dict[str, Medium]) -> IPNode:
+    """Build one planned node (interfaces attached, routes installed)."""
+    if plan.kind == MOBILE:
+        return MobileHost(
             sim,
-            "M",
-            home_address=topo.mobile_home_address,
-            home_network=topo.home_net,
-            home_agent=topo.home_net.host(254),
+            plan.name,
+            home_address=plan.home_address,
+            home_network=plan.home_network,
+            home_agent=plan.home_agent,
+            use_sender_cache=plan.cache,
         )
-        world.mobile_hosts = [mobile]
-        world.nodes.append(mobile)
-    elif params:
-        raise ConfigurationError(
-            f"unknown star topology parameters: {sorted(params)}"
+    if plan.kind == ROUTER:
+        node: IPNode = Router(sim, plan.name)
+    else:
+        node = (StationaryCorrespondent if plan.cache else Host)(sim, plan.name)
+    for iface in plan.interfaces:
+        node.add_interface(
+            iface.name, iface.address, iface.network, medium=media[iface.medium]
         )
+    for prefix, next_hop, iface_name in plan.routes:
+        node.routing_table.add_next_hop(prefix, next_hop, iface_name)
+    return node
 
-    return world
 
-
-_BUILDERS = {
-    "figure1": _build_figure1,
-    "campus": _build_campus,
-    "star": _build_star,
-}
+def bind_sim(sim: Simulator, plan: TopologyPlan) -> World:
+    """Build ``plan`` on ``sim``, in plan order."""
+    media: Dict[str, Medium] = {}
+    for medium in plan.media:
+        if medium.wireless:
+            media[medium.name] = WirelessCell(
+                sim, medium.name, latency=medium.latency, loss_rate=medium.loss
+            )
+        else:
+            media[medium.name] = LAN(sim, medium.name, latency=medium.latency)
+    by_name: Dict[str, IPNode] = {}
+    roles: Dict[str, AgentRouter] = {}
+    for node_plan in plan.nodes:
+        node = by_name[node_plan.name] = bind_sim_node(sim, node_plan, media)
+        if node_plan.roles is not None:
+            roles[node_plan.name] = make_agent_router(node, **node_plan.roles)
+    agents = list(roles.values())
+    return World(
+        sim=sim,
+        kind=plan.kind,
+        home_medium=media[plan.home_medium],
+        cells=[media[name] for name in plan.cells],
+        mobile_hosts=[by_name[name] for name in plan.mobile_hosts],
+        correspondents=[by_name[name] for name in plan.correspondents],
+        fault_nodes={
+            fault: by_name[name] for fault, name in plan.fault_nodes.items()
+        },
+        nodes=[by_name[name] for name in plan.observed],
+        home_roles=next((r for r in agents if r.home_agent is not None), None),
+        cell_roles=[r for r in agents if r.foreign_agent is not None],
+        by_name=by_name,
+        media=media,
+        prefixes={medium.name: medium.network for medium in plan.media},
+        roles=roles,
+    )
 
 
 def build_world(sim: Simulator, topology: dict) -> World:
     """Build the topology described by a spec's ``topology`` dict."""
-    params = dict(topology)
-    kind = params.pop("kind", None)
-    builder = _BUILDERS.get(kind)
-    if builder is None:
-        raise ConfigurationError(
-            f"unknown topology kind {kind!r} (expected one of {sorted(_BUILDERS)})"
-        )
-    return builder(sim, params)
+    return bind_sim(sim, plan_for(topology))

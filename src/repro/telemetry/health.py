@@ -22,7 +22,7 @@ evaluates):
 - end-to-end **latency** per delivered data packet;
 - **hop count** and **path stretch** — actual hops over the current
   shortest path between origin and delivery node (requires ``nodes``
-  at :meth:`attach` so the hub can BFS the topology);
+  at ``sim.attach(hub, nodes=...)`` so the hub can BFS the topology);
 - **tunnel-chain length** (tunnel operations per delivered packet) and
   the **previous-source-list length** observed at delivery;
 - handoff **blackout**: last data delivery to a mobile host before a
@@ -143,17 +143,6 @@ class ProtocolHealth:
     # ------------------------------------------------------------------
     #: Role attribute this instrument occupies on the simulator.
     instrument_role = "telemetry"
-
-    def attach(self, sim, nodes: Optional[list] = None, subscribe_trace: bool = True) -> "ProtocolHealth":
-        """Install this hub on ``sim`` (as ``sim.telemetry``) and, by
-        default, subscribe to its tracer for the control-plane stream.
-
-        Thin shim over :meth:`Simulator.attach
-        <repro.netsim.simulator.Simulator.attach>`, kept for callers that
-        read more naturally instrument-first.
-        """
-        sim.attach(self, nodes=nodes, subscribe_trace=subscribe_trace)
-        return self
 
     def bind(self, sim, nodes: Optional[list] = None, subscribe_trace: bool = True) -> None:
         """Instrument-registry hook: wire listeners into ``sim``."""

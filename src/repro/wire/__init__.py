@@ -10,7 +10,7 @@ backend in :mod:`repro.live` share the protocol logic in this package:
 - :mod:`repro.wire.engine` — sans-io node engines: each consumes
   ``(now, datagram bytes | timer fire | command)`` and emits
   ``(outbound datagrams, timer requests, protocol events)``.
-- :mod:`repro.wire.topo` — engine worlds for the stock topologies.
+- :mod:`repro.wire.topo` — the engine binder over :mod:`repro.plan`.
 - :mod:`repro.wire.driver` — the deterministic in-process driver.
 - :mod:`repro.wire.conformance` — cross-backend conformance projections.
 """

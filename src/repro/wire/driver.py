@@ -29,10 +29,6 @@ from repro.netsim.trace import TraceEntry
 from repro.wire.engine import Datagram, EngineEvent, EngineOutput, NodeEngine
 from repro.wire.topo import EngineTopology, build_engine_world
 
-#: Media latencies mirroring the simulator topology builders' defaults.
-LAN_LATENCY = 0.001
-WIRELESS_LATENCY = 0.003
-
 
 class HealthFeed:
     """Feed :class:`~repro.telemetry.health.ProtocolHealth` from engine
@@ -184,15 +180,10 @@ class EngineDriver(ScheduleActions):
         topo: EngineTopology,
         health=None,
         obs=None,
-        lan_latency: float = LAN_LATENCY,
-        wireless_latency: float = WIRELESS_LATENCY,
     ) -> None:
         self.topo = topo
         self.world = topo.world
         self.now = 0.0
-        self.lan_latency = lan_latency
-        self.wireless_latency = wireless_latency
-        self._wireless = set(topo.cells)
         self._heap: List[Tuple[float, int, tuple]] = []
         self._seq = itertools.count()
         self._timer_gen: Dict[Tuple[str, str], int] = {}
@@ -284,11 +275,6 @@ class EngineDriver(ScheduleActions):
         for datagram in output.datagrams:
             self._transmit(node, datagram)
 
-    def _medium_latency(self, medium: str) -> float:
-        if medium in self._wireless:
-            return self.wireless_latency
-        return self.lan_latency
-
     def _transmit(self, node: NodeEngine, datagram: Datagram) -> None:
         medium = self.world.medium_of(node.name, datagram.iface)
         if medium is None:
@@ -296,7 +282,7 @@ class EngineDriver(ScheduleActions):
             # racing a disconnect, exactly like the simulator).
             self.datagrams_unresolved += 1
             return
-        arrival = self.now + self._medium_latency(medium)
+        arrival = self.now + self.topo.latency[medium]
         if datagram.broadcast:
             for member_node, member_iface in self.world.media[medium]:
                 if member_node == node.name and member_iface == datagram.iface:
@@ -381,45 +367,11 @@ class EngineDriver(ScheduleActions):
         return processed
 
 
-def _run_engine_spec(
-    spec,
-    health=None,
-    obs=None,
-    until=None,
-    lan_latency: float = LAN_LATENCY,
-    wireless_latency: float = WIRELESS_LATENCY,
-) -> EngineDriver:
+def _run_engine_spec(spec, health=None, obs=None, until=None) -> EngineDriver:
     """Boot the spec's topology as engines, install its schedule, and
     run to ``until`` (default: the spec's horizon).  Internal entry
     point behind :func:`repro.backend.run`."""
-    topo = build_engine_world(spec.topology)
-    driver = EngineDriver(
-        topo, health=health, obs=obs,
-        lan_latency=lan_latency, wireless_latency=wireless_latency,
-    )
+    driver = EngineDriver(build_engine_world(spec.topology), health=health, obs=obs)
     driver.install_spec(spec)
     driver.run(until=spec.horizon if until is None else until)
     return driver
-
-
-def run_engine_spec(
-    spec,
-    health=None,
-    obs=None,
-    lan_latency: float = LAN_LATENCY,
-    wireless_latency: float = WIRELESS_LATENCY,
-) -> EngineDriver:
-    """Deprecated one-call entry point; use ``repro.backend.run(spec,
-    backend="engine")`` instead.  Kept (warning) for one release."""
-    import warnings
-
-    warnings.warn(
-        "run_engine_spec() is deprecated; use "
-        "repro.backend.run(spec, backend='engine') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_engine_spec(
-        spec, health=health, obs=obs,
-        lan_latency=lan_latency, wireless_latency=wireless_latency,
-    )

@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.encapsulation import MHRPPayload, decapsulate, encapsulate, retunnel
 from repro.core.header import DEFAULT_MAX_PREVIOUS_SOURCES
-from repro.core.persistence import LocationDatabase, LocationStore
+from repro.core.persistence import LocationDatabase, LocationStore, MemoryStore
 from repro.core.registration import (
     ACK,
     FA_CONNECT,
@@ -2151,3 +2151,100 @@ class MobileHostRole:
         self.registrations = int(state["registrations"])
         self.silence_disconnects = int(state["silence_disconnects"])
         self.limiter.load_state(state["limiter"])
+
+
+# ----------------------------------------------------------------------
+# Role composition (Section 2) — written once, for both substrates
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class RoleClasses:
+    """One substrate's role constructors; each wires its role into the
+    node it is given."""
+
+    foreign_agent: Callable  # (node, iface_name, **kwargs)
+    home_agent: Callable     # (node, iface_name, store=..., **kwargs)
+    cache_agent: Callable    # (node, examine_forwarded=...)
+    tunnel_errors: Callable  # (node, cache_agent=...)
+
+
+@dataclass
+class AgentRouter:
+    """The composed roles living on one node."""
+
+    node: object
+    cache_agent: Optional[CacheAgentRole]
+    foreign_agent: Optional[ForeignAgentRole]
+    home_agent: Optional[HomeAgentRole]
+
+
+#: Options only the foreign agent understands.
+_FOREIGN_AGENT_ONLY = frozenset({"keep_forwarding_pointers", "believe_home_agent"})
+
+
+def compose_agent_roles(
+    classes: RoleClasses,
+    node,
+    home_iface: Optional[str] = None,
+    foreign_iface: Optional[str] = None,
+    cache: bool = True,
+    examine_forwarded: bool = False,
+    store: Optional[LocationStore] = None,
+    durable_database: bool = True,
+    **agent_kwargs,
+) -> AgentRouter:
+    """Attach agent roles to ``node``.
+
+    Section 2: "The functionality of a foreign agent, home agent, and
+    cache agent may be provided by separate hosts or routers on a
+    network, or may be combined in different ways on one or more hosts
+    or routers ... any node functioning as a home agent, foreign agent,
+    or mobile host should generally also function as a cache agent."
+
+    The attach order is what the roles require: the **foreign agent**
+    first (packets for locally visiting hosts are delivered on-link
+    before anything else looks at them), the **home agent** second
+    (interception of away hosts' traffic), the **cache agent** last
+    (tunneling is an optimization applied only to packets the agents
+    above did not claim), then the Section 4.5 tunnel-error handler —
+    every agent is a tunnel head, so every agent reverses returned ICMP
+    errors.
+
+    Args:
+        classes: the substrate's role constructors.
+        node: the router (or support host) to equip.
+        home_iface: interface of the home network to serve as home agent
+            for (``None`` = no home-agent role).
+        foreign_iface: interface visitors attach through (``None`` = no
+            foreign-agent role).
+        cache: also run a cache agent (recommended by the paper).
+        examine_forwarded: the cache agent also snoops location updates
+            it forwards — a first-hop router caching on behalf of a
+            network of unmodified hosts (Section 6.2).
+        store: durable store for the home agent database; when ``None``
+            and ``durable_database`` is true, a fresh
+            :class:`~repro.core.persistence.MemoryStore` plays the disk.
+        agent_kwargs: forwarded to both agent constructors where
+            applicable (e.g. ``max_previous_sources``).
+    """
+    cache_agent = foreign_agent = home_agent = None
+    if foreign_iface is not None:
+        foreign_agent = classes.foreign_agent(node, foreign_iface, **agent_kwargs)
+    if home_iface is not None:
+        if store is None and durable_database:
+            store = MemoryStore()
+        home_agent = classes.home_agent(
+            node, home_iface, store=store,
+            **{k: v for k, v in agent_kwargs.items() if k not in _FOREIGN_AGENT_ONLY},
+        )
+    if cache:
+        cache_agent = classes.cache_agent(node, examine_forwarded=examine_forwarded)
+        if foreign_agent is not None:
+            foreign_agent.cache_agent = cache_agent
+        if home_agent is not None:
+            # The co-located cache must never contradict the home
+            # agent's authoritative database about its *own* mobile
+            # hosts: every registration refreshes (or clears, for a
+            # return home) the cache entry.
+            home_agent.location_listeners.append(cache_agent.learn)
+    classes.tunnel_errors(node, cache_agent=cache_agent)
+    return AgentRouter(node, cache_agent, foreign_agent, home_agent)

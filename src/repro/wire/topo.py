@@ -1,28 +1,24 @@
-"""Engine-world builders mirroring :mod:`repro.workloads.topology`.
+"""The engine binder: a :class:`~repro.plan.TopologyPlan` as sans-io
+engines.
 
-Same address plans, same static routes, same role combinations — but
-assembled from :class:`~repro.wire.engine.NodeEngine` parts instead of
-simulator nodes, so both the deterministic driver and the live UDP
-backend boot byte-for-byte the networks the simulator experiments run
-on.  The conformance harness depends on this equivalence: a divergence
-between an engine run and a simulator run must mean a protocol-logic
-difference, never a topology one.
-
-Role attach order matters and matches
-:func:`repro.core.agent_router.make_agent_router`: foreign agent first
-(visitor delivery claims packets before anything else), home agent
-second (interception), cache agent last (tunneling only what the agents
-above left alone), then the Section 4.5 tunnel-error handler.
+:func:`bind_engine` walks the same plan
+:func:`repro.scenario.world.bind_sim` does — same address plans, same
+static routes, same role combinations — but assembles
+:class:`~repro.wire.engine.NodeEngine` parts instead of simulator nodes,
+so both the deterministic driver and the live UDP backend boot the
+networks the simulator experiments run on.  The conformance harness
+depends on this equivalence: a divergence between an engine run and a
+simulator run must mean a protocol-logic difference, never a topology
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.persistence import LocationStore, MemoryStore
 from repro.errors import ConfigurationError
-from repro.ip.address import IPAddress, IPNetwork
+from repro.plan import MOBILE, ROUTER, NodePlan, TopologyPlan, plan_for
 from repro.wire.engine import (
     CacheAgentEngine,
     CorrespondentEngine,
@@ -33,65 +29,20 @@ from repro.wire.engine import (
     MobileHostEngine,
     NodeEngine,
 )
+from repro.wire.roles import AgentRouter, RoleClasses, compose_agent_roles
 
-
-@dataclass
-class EngineAgentRouter:
-    """The composed roles living on one engine node."""
-
-    node: NodeEngine
-    cache_agent: Optional[CacheAgentEngine]
-    foreign_agent: Optional[ForeignAgentEngine]
-    home_agent: Optional[HomeAgentEngine]
-
-
-def make_engine_agent_router(
-    node: NodeEngine,
-    home_iface: Optional[str] = None,
-    foreign_iface: Optional[str] = None,
-    cache: bool = True,
-    store: Optional[LocationStore] = None,
-    durable_database: bool = True,
-    advertise: bool = True,
-    **agent_kwargs,
-) -> EngineAgentRouter:
-    """Engine twin of :func:`repro.core.agent_router.make_agent_router`."""
-    cache_agent: Optional[CacheAgentEngine] = None
-    foreign_agent: Optional[ForeignAgentEngine] = None
-    home_agent: Optional[HomeAgentEngine] = None
-
-    fa_only = {"keep_forwarding_pointers", "believe_home_agent"}
-    fa_kwargs = {k: v for k, v in agent_kwargs.items()}
-    ha_kwargs = {k: v for k, v in agent_kwargs.items() if k not in fa_only}
-
-    if foreign_iface is not None:
-        foreign_agent = ForeignAgentEngine(
-            node, foreign_iface, advertise=advertise, **fa_kwargs
-        )
-    if home_iface is not None:
-        if store is None and durable_database:
-            store = MemoryStore()
-        home_agent = HomeAgentEngine(
-            node, home_iface, store=store, advertise=advertise, **ha_kwargs
-        )
-    if cache:
-        cache_agent = CacheAgentEngine(node, examine_forwarded=False)
-        if foreign_agent is not None:
-            foreign_agent.cache_agent = cache_agent
-        if home_agent is not None:
-            home_agent.location_listeners.append(cache_agent.learn)
-    EngineTunnelErrorHandler(node, cache_agent=cache_agent)
-    return EngineAgentRouter(
-        node=node,
-        cache_agent=cache_agent,
-        foreign_agent=foreign_agent,
-        home_agent=home_agent,
-    )
+#: The engine-bound role constructors.
+ENGINE_ROLES = RoleClasses(
+    foreign_agent=ForeignAgentEngine,
+    home_agent=HomeAgentEngine,
+    cache_agent=CacheAgentEngine,
+    tunnel_errors=EngineTunnelErrorHandler,
+)
 
 
 @dataclass
 class EngineTopology:
-    """A built engine world, normalized the way
+    """A bound engine world, normalized the way
     :class:`repro.scenario.world.World` normalizes simulator worlds:
     a home medium, an ordered cell list, host/fault rosters — all by
     *name*, since engines are addressed by name in the world."""
@@ -103,7 +54,9 @@ class EngineTopology:
     mobile_hosts: List[str] = field(default_factory=list)
     correspondents: List[str] = field(default_factory=list)
     fault_nodes: Dict[str, str] = field(default_factory=dict)
-    roles: Dict[str, EngineAgentRouter] = field(default_factory=dict)
+    roles: Dict[str, AgentRouter] = field(default_factory=dict)
+    #: medium name -> one-way propagation latency, for drivers.
+    latency: Dict[str, float] = field(default_factory=dict)
 
     def mobile_host(self, index: int) -> MobileHostEngine:
         node = self.world.nodes[self.mobile_hosts[index]]
@@ -116,272 +69,68 @@ class EngineTopology:
         return node
 
 
-def _router(world: EngineWorld, name: str) -> NodeEngine:
-    return world.add_node(NodeEngine(
-        name, forwarding=True,
-        rng=world.node_rng(name), ident_allocator=world.ident_allocator(),
-    ))
-
-
-def build_engine_figure1(
-    seed: int = 42,
-    sender_is_cache_agent: bool = True,
-    mobile_sender_cache: bool = True,
-    advertise: bool = True,
-    **agent_kwargs,
-) -> EngineTopology:
-    """The paper's Figure 1 internetwork (plus R5/net E) as engines.
-
-    Address plan and static routes are copied line-for-line from
-    :func:`repro.workloads.topology.build_figure1`.
-    """
-    world = EngineWorld(seed=seed)
-
-    backbone_net = IPNetwork("10.0.0.0/24")
-    net_a = IPNetwork("10.1.0.0/24")
-    net_b = IPNetwork("10.2.0.0/24")
-    net_c = IPNetwork("10.3.0.0/24")
-    net_d = IPNetwork("10.4.0.0/24")
-    net_e = IPNetwork("10.5.0.0/24")
-
-    r1 = _router(world, "R1")
-    r1.add_interface("bb", backbone_net.host(1), backbone_net)
-    r1.add_interface("lan", net_a.host(254), net_a)
-
-    r2 = _router(world, "R2")
-    r2.add_interface("bb", backbone_net.host(2), backbone_net)
-    r2.add_interface("lan", net_b.host(254), net_b)
-
-    r3 = _router(world, "R3")
-    r3.add_interface("bb", backbone_net.host(3), backbone_net)
-    r3.add_interface("lan", net_c.host(254), net_c)
-
-    r4 = _router(world, "R4")
-    r4.add_interface("lan", net_c.host(4), net_c)
-    r4.add_interface("cell", net_d.host(254), net_d)
-
-    r5 = _router(world, "R5")
-    r5.add_interface("lan", net_c.host(5), net_c)
-    r5.add_interface("cell", net_e.host(254), net_e)
-
-    for prefix, via in [
-        (net_b, backbone_net.host(2)),
-        (net_c, backbone_net.host(3)),
-        (net_d, backbone_net.host(3)),
-        (net_e, backbone_net.host(3)),
-    ]:
-        r1.routing_table.add_next_hop(prefix, via, "bb")
-    for prefix, via in [
-        (net_a, backbone_net.host(1)),
-        (net_c, backbone_net.host(3)),
-        (net_d, backbone_net.host(3)),
-        (net_e, backbone_net.host(3)),
-    ]:
-        r2.routing_table.add_next_hop(prefix, via, "bb")
-    for prefix, via in [
-        (net_a, backbone_net.host(1)),
-        (net_b, backbone_net.host(2)),
-    ]:
-        r3.routing_table.add_next_hop(prefix, via, "bb")
-    r3.routing_table.add_next_hop(net_d, net_c.host(4), "lan")
-    r3.routing_table.add_next_hop(net_e, net_c.host(5), "lan")
-    r4.routing_table.set_default(net_c.host(254), "lan")
-    r5.routing_table.set_default(net_c.host(254), "lan")
-
-    roles = {
-        "R2": make_engine_agent_router(
-            r2, home_iface="lan", advertise=advertise, **agent_kwargs
-        ),
-        "R4": make_engine_agent_router(
-            r4, foreign_iface="cell", advertise=advertise, **agent_kwargs
-        ),
-        "R5": make_engine_agent_router(
-            r5, foreign_iface="cell", advertise=advertise, **agent_kwargs
-        ),
+def _bind_node(world: EngineWorld, plan: NodePlan) -> NodeEngine:
+    shared = {
+        "rng": world.node_rng(plan.name),
+        "ident_allocator": world.ident_allocator(),
     }
-
-    s = world.add_node(CorrespondentEngine(
-        "S", use_cache=sender_is_cache_agent,
-        rng=world.node_rng("S"), ident_allocator=world.ident_allocator(),
-    ))
-    s.add_interface("eth0", net_a.host(1), net_a)
-    s.set_gateway(net_a.host(254))
-    if s.cache_agent is not None:
-        EngineTunnelErrorHandler(s, cache_agent=s.cache_agent)
-
-    m = world.add_node(MobileHostEngine(
-        "M",
-        home_address=net_b.host(10),
-        home_network=net_b,
-        home_agent=net_b.host(254),
-        use_sender_cache=mobile_sender_cache,
-        seq_allocator=world.seq_allocator(),
-        rng=world.node_rng("M"), ident_allocator=world.ident_allocator(),
-    ))
-    if m.cache_agent is not None:
-        EngineTunnelErrorHandler(m, cache_agent=m.cache_agent)
-
-    # Media membership (names match the simulator builder's media).
-    world.attach("backbone", "R1", "bb")
-    world.attach("backbone", "R2", "bb")
-    world.attach("backbone", "R3", "bb")
-    world.attach("netA", "R1", "lan")
-    world.attach("netA", "S", "eth0")
-    world.attach("netB", "R2", "lan")
-    world.attach("netC", "R3", "lan")
-    world.attach("netC", "R4", "lan")
-    world.attach("netC", "R5", "lan")
-    world.attach("netD", "R4", "cell")
-    world.attach("netE", "R5", "cell")
-    # M starts detached; the schedule's first move attaches it.
-
-    return EngineTopology(
-        world=world,
-        kind="figure1",
-        home_medium="netB",
-        cells=["netD", "netE"],
-        mobile_hosts=["M"],
-        correspondents=["S"],
-        fault_nodes={f"R{i}": f"R{i}" for i in range(1, 6)},
-        roles=roles,
-    )
-
-
-def build_engine_campus(
-    n_cells: int,
-    n_mobile_hosts: int,
-    n_correspondents: int = 1,
-    seed: int = 42,
-    advertise: bool = False,
-    **agent_kwargs,
-) -> EngineTopology:
-    """The campus star as engines (mirrors
-    :func:`repro.workloads.topology.build_campus`)."""
-    if n_cells < 1:
-        raise ConfigurationError("need at least one cell")
-    if n_cells > 150:
-        raise ConfigurationError("address plan supports at most 150 cells")
-    world = EngineWorld(seed=seed)
-
-    backbone_net = IPNetwork("10.0.0.0/16")
-    home_prefix = IPNetwork("10.1.0.0/16")
-    corr_prefix = IPNetwork("10.2.0.0/24")
-
-    hr = _router(world, "HR")
-    hr.add_interface("bb", backbone_net.host(1), backbone_net)
-    hr.add_interface("lan", home_prefix.host(65534), home_prefix)
-    roles = {
-        "HR": make_engine_agent_router(
-            hr, home_iface="lan", advertise=advertise, **agent_kwargs
-        )
-    }
-
-    cr = _router(world, "CR")
-    cr.add_interface("bb", backbone_net.host(2), backbone_net)
-    cr.add_interface("lan", corr_prefix.host(254), corr_prefix)
-    cr.routing_table.set_default(backbone_net.host(1), "bb")
-
-    hr.routing_table.add_next_hop(corr_prefix, backbone_net.host(2), "bb")
-    cr.routing_table.add_next_hop(home_prefix, backbone_net.host(1), "bb")
-
-    world.attach("backbone", "HR", "bb")
-    world.attach("backbone", "CR", "bb")
-    world.attach("home", "HR", "lan")
-    world.attach("corr", "CR", "lan")
-
-    cells: List[str] = []
-    cell_prefixes: List[IPNetwork] = []
-    cell_routers: List[NodeEngine] = []
-    for i in range(n_cells):
-        prefix = IPNetwork(f"10.{100 + i}.0.0/24")
-        router = _router(world, f"FR{i}")
-        router.add_interface("bb", backbone_net.host(10 + i), backbone_net)
-        router.add_interface("cell", prefix.host(254), prefix)
-        router.routing_table.set_default(backbone_net.host(1), "bb")
-        roles[f"FR{i}"] = make_engine_agent_router(
-            router, foreign_iface="cell", advertise=advertise, **agent_kwargs
-        )
-        hr.routing_table.add_next_hop(prefix, backbone_net.host(10 + i), "bb")
-        cr.routing_table.add_next_hop(prefix, backbone_net.host(10 + i), "bb")
-        for other_index, other in enumerate(cell_routers):
-            other.routing_table.add_next_hop(
-                prefix, backbone_net.host(10 + i), "bb"
-            )
-            router.routing_table.add_next_hop(
-                cell_prefixes[other_index],
-                backbone_net.host(10 + other_index), "bb",
-            )
-        world.attach("backbone", f"FR{i}", "bb")
-        world.attach(f"cell{i}", f"FR{i}", "cell")
-        cells.append(f"cell{i}")
-        cell_prefixes.append(prefix)
-        cell_routers.append(router)
-
-    mobile_hosts: List[str] = []
-    for i in range(n_mobile_hosts):
-        mh = world.add_node(MobileHostEngine(
-            f"M{i}",
-            home_address=home_prefix.host(1 + i),
-            home_network=home_prefix,
-            home_agent=home_prefix.host(65534),
+    if plan.kind == ROUTER:
+        return NodeEngine(plan.name, forwarding=True, **shared)
+    if plan.kind == MOBILE:
+        node = MobileHostEngine(
+            plan.name,
+            home_address=plan.home_address,
+            home_network=plan.home_network,
+            home_agent=plan.home_agent,
+            use_sender_cache=plan.cache,
             seq_allocator=world.seq_allocator(),
-            rng=world.node_rng(f"M{i}"),
-            ident_allocator=world.ident_allocator(),
-        ))
-        if mh.cache_agent is not None:
-            EngineTunnelErrorHandler(mh, cache_agent=mh.cache_agent)
-        mobile_hosts.append(mh.name)
+            **shared,
+        )
+    else:
+        node = CorrespondentEngine(plan.name, use_cache=plan.cache, **shared)
+    # Simulator hosts attach their own Section 4.5 handler; engine hosts
+    # get theirs here.
+    if node.cache_agent is not None:
+        EngineTunnelErrorHandler(node, cache_agent=node.cache_agent)
+    return node
 
-    correspondents: List[str] = []
-    for i in range(n_correspondents):
-        host = world.add_node(CorrespondentEngine(
-            f"C{i}", rng=world.node_rng(f"C{i}"),
-            ident_allocator=world.ident_allocator(),
-        ))
-        host.add_interface("eth0", corr_prefix.host(1 + i), corr_prefix)
-        host.set_gateway(corr_prefix.host(254))
-        if host.cache_agent is not None:
-            EngineTunnelErrorHandler(host, cache_agent=host.cache_agent)
-        world.attach("corr", f"C{i}", "eth0")
-        correspondents.append(host.name)
 
+def bind_engine(plan: TopologyPlan, seed: int = 42) -> EngineTopology:
+    """Build ``plan`` as an engine world, in plan order."""
+    world = EngineWorld(seed=seed)
+    for medium in plan.media:
+        if medium.loss:
+            raise ConfigurationError(
+                f"engine backends do not model link loss: wireless_loss="
+                f"{medium.loss!r} on medium {medium.name!r}"
+            )
+        world.media[medium.name] = []
+    roles: Dict[str, AgentRouter] = {}
+    for node_plan in plan.nodes:
+        node = world.add_node(_bind_node(world, node_plan))
+        for iface in node_plan.interfaces:
+            node.add_interface(iface.name, iface.address, iface.network)
+            world.attach(iface.medium, node.name, iface.name)
+        for prefix, next_hop, iface_name in node_plan.routes:
+            node.routing_table.add_next_hop(prefix, next_hop, iface_name)
+        if node_plan.roles is not None:
+            roles[node.name] = compose_agent_roles(
+                ENGINE_ROLES, node, **node_plan.roles
+            )
     return EngineTopology(
         world=world,
-        kind="campus",
-        home_medium="home",
-        cells=cells,
-        mobile_hosts=mobile_hosts,
-        correspondents=correspondents,
-        fault_nodes={
-            "HR": "HR", **{f"FR{i}": f"FR{i}" for i in range(n_cells)}
-        },
+        kind=plan.kind,
+        home_medium=plan.home_medium,
+        cells=list(plan.cells),
+        mobile_hosts=list(plan.mobile_hosts),
+        correspondents=list(plan.correspondents),
+        fault_nodes=dict(plan.fault_nodes),
         roles=roles,
+        latency={medium.name: medium.latency for medium in plan.media},
     )
-
-
-#: Topology kinds the engine backends can boot (the comparison star is
-#: simulator-only: baselines attach protocol variants the engines do not
-#: model).
-ENGINE_TOPOLOGIES = {
-    "figure1": build_engine_figure1,
-    "campus": build_engine_campus,
-}
 
 
 def build_engine_world(topology: dict) -> EngineTopology:
     """Build the engine world described by a ScenarioSpec ``topology``
-    dict (same vocabulary as :func:`repro.scenario.world.build_world`,
-    minus simulator-only parameters)."""
-    params = dict(topology)
-    kind = params.pop("kind", None)
-    builder = ENGINE_TOPOLOGIES.get(kind)
-    if builder is None:
-        raise ConfigurationError(
-            f"engine backends cannot boot topology kind {kind!r} "
-            f"(supported: {sorted(ENGINE_TOPOLOGIES)})"
-        )
-    # Latency/loss are driver concerns in engine worlds; accept and drop
-    # the simulator's knobs so one spec drives both backends.
-    for sim_only in ("lan_latency", "wireless_latency", "wireless_loss"):
-        params.pop(sim_only, None)
-    return builder(**params)
+    dict (same vocabulary as :func:`repro.scenario.world.build_world`)."""
+    return bind_engine(plan_for(topology))

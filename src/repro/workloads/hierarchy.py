@@ -27,7 +27,7 @@ Two things are derived from the tree:
   signaling-load-vs-hierarchy-depth curve E4 reports.
 
 Address plan: campus ``i`` owns the ``{10+i}.0.0.0/8`` supernet, laid
-out internally by :func:`repro.workloads.topology.build_campus` with
+out internally by :func:`repro.plan.campus_plan` with
 ``address_base=10+i`` — so a border gateway classifies local-vs-remote
 destinations by first octet alone.
 
@@ -55,7 +55,7 @@ CAMPUS_BASE = 10
 
 
 def campus_address_base(index: int) -> int:
-    """The ``address_base`` campus ``index`` hands to ``build_campus``."""
+    """The ``address_base`` campus ``index`` hands to ``campus_plan``."""
     base = CAMPUS_BASE + index
     if not CAMPUS_BASE <= base <= 223:
         raise ValueError(f"campus index {index} out of the address plan")

@@ -1,218 +1,59 @@
-"""Topology builders.
+"""Simulator worlds for the stock topologies, with named access.
 
-:func:`build_figure1` constructs the paper's Figure 1 internetwork:
-
-::
-
-                 backbone 10.0.0.0/24
-          +-----------+-----------+
-          |           |           |
-         R1          R2          R3
-          |           |           |
-      net A        net B       net C --- R4 --- net D (wireless)
-     10.1/24      10.2/24     10.3/24         10.4/24
-       [S]       [M's home]        \\--- R5 --- net E (wireless)
-                                              10.5/24
-
-R2 is M's home agent; R4 and R5 are foreign agents serving the two
-wireless cells.  R5/net E extends the figure per Section 6.3's "suppose
-mobile host M moves from R4 to some new foreign agent, say R5".
-
-:func:`build_campus` scales the same shape: one home network with many
-mobile hosts, ``n_cells`` foreign-agent cells, and stationary
-correspondents, for the scalability experiments (E4).
+:func:`build_figure1` and :func:`build_campus` bind the plans in
+:mod:`repro.plan` (the one place the address plans, static routes and
+role placement are written) with the simulator binder and wrap the
+resulting :class:`~repro.scenario.world.World` in a named view —
+``topo.r4``, ``topo.net_d``, ``topo.fa4_address`` — looked up by plan
+name from the bound world.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.core.agent_router import AgentRouter, make_agent_router
-from repro.core.mobile_host import MobileHost, StationaryCorrespondent
-from repro.ip.address import IPAddress, IPNetwork
-from repro.ip.host import Host
-from repro.ip.router import Router
-from repro.link.medium import LAN, WirelessCell
+from repro.ip.address import IPAddress
 from repro.netsim.simulator import Simulator
+from repro.plan import campus_plan, figure1_plan
+from repro.scenario.world import World, bind_sim
 
 
-@dataclass
 class Figure1Topology:
-    """Everything :func:`build_figure1` created."""
+    """Named access to a bound Figure-1 world (see
+    :func:`repro.plan.figure1_plan` for the picture)."""
 
-    sim: Simulator
-    # Media.
-    backbone: LAN
-    net_a: LAN
-    net_b: LAN
-    net_c: LAN
-    net_d: WirelessCell
-    net_e: WirelessCell
-    # Address plans.
-    backbone_net: IPNetwork
-    net_a_prefix: IPNetwork
-    net_b_prefix: IPNetwork
-    net_c_prefix: IPNetwork
-    net_d_prefix: IPNetwork
-    net_e_prefix: IPNetwork
-    # Nodes.
-    r1: Router
-    r2: Router
-    r3: Router
-    r4: Router
-    r5: Router
-    s: Host
-    m: MobileHost
-    # Agent roles.
-    r2_roles: AgentRouter
-    r4_roles: AgentRouter
-    r5_roles: AgentRouter
-    r1_roles: Optional[AgentRouter] = None
-
-    @property
-    def home_agent_address(self) -> IPAddress:
-        return self.r2_roles.home_agent.address
-
-    @property
-    def fa4_address(self) -> IPAddress:
-        return self.r4_roles.foreign_agent.address
-
-    @property
-    def fa5_address(self) -> IPAddress:
-        return self.r5_roles.foreign_agent.address
+    def __init__(self, world: World) -> None:
+        self.world = world
+        self.sim = world.sim
+        node, medium, prefix, roles = (
+            world.by_name, world.media, world.prefixes, world.roles
+        )
+        names = ("backbone", "netA", "netB", "netC", "netD", "netE")
+        (self.backbone, self.net_a, self.net_b,
+         self.net_c, self.net_d, self.net_e) = (medium[n] for n in names)
+        (self.backbone_net, self.net_a_prefix, self.net_b_prefix,
+         self.net_c_prefix, self.net_d_prefix, self.net_e_prefix) = (
+            prefix[n] for n in names
+        )
+        self.r1, self.r2, self.r3, self.r4, self.r5, self.s, self.m = (
+            node[n] for n in ("R1", "R2", "R3", "R4", "R5", "S", "M")
+        )
+        self.r1_roles = roles.get("R1")
+        self.r2_roles, self.r4_roles, self.r5_roles = (
+            roles[n] for n in ("R2", "R4", "R5")
+        )
+        self.home_agent_address = self.r2_roles.home_agent.address
+        self.fa4_address = self.r4_roles.foreign_agent.address
+        self.fa5_address = self.r5_roles.foreign_agent.address
 
 
 def build_figure1(
-    sim: Optional[Simulator] = None,
-    seed: int = 42,
-    sender_is_cache_agent: bool = True,
-    r1_is_cache_agent: bool = False,
-    mobile_sender_cache: bool = True,
-    advertise: bool = True,
-    lan_latency: float = 0.001,
-    wireless_latency: float = 0.003,
-    wireless_loss: float = 0.0,
-    **agent_kwargs,
+    sim: Optional[Simulator] = None, seed: int = 42, **params
 ) -> Figure1Topology:
-    """Build the paper's Figure 1 internetwork (plus R5/net E).
-
-    Args:
-        sender_is_cache_agent: make S an MHRP-capable correspondent
-            (Section 2 expects this of most hosts); when False, S is a
-            completely unmodified :class:`~repro.ip.host.Host`.
-        r1_is_cache_agent: let S's first-hop router cache locations on
-            behalf of a network of unmodified hosts (Section 6.2).
-        agent_kwargs: forwarded to :func:`make_agent_router` (e.g.
-            ``max_previous_sources``).
-    """
+    """Build the paper's Figure 1 internetwork (plus R5/net E);
+    ``params`` are :func:`repro.plan.figure1_plan`'s."""
     sim = sim or Simulator(seed=seed)
-
-    backbone_net = IPNetwork("10.0.0.0/24")
-    net_a_prefix = IPNetwork("10.1.0.0/24")
-    net_b_prefix = IPNetwork("10.2.0.0/24")
-    net_c_prefix = IPNetwork("10.3.0.0/24")
-    net_d_prefix = IPNetwork("10.4.0.0/24")
-    net_e_prefix = IPNetwork("10.5.0.0/24")
-
-    backbone = LAN(sim, "backbone", latency=lan_latency)
-    net_a = LAN(sim, "netA", latency=lan_latency)
-    net_b = LAN(sim, "netB", latency=lan_latency)
-    net_c = LAN(sim, "netC", latency=lan_latency)
-    net_d = WirelessCell(sim, "netD", latency=wireless_latency, loss_rate=wireless_loss)
-    net_e = WirelessCell(sim, "netE", latency=wireless_latency, loss_rate=wireless_loss)
-
-    r1 = Router(sim, "R1")
-    r1.add_interface("bb", backbone_net.host(1), backbone_net, medium=backbone)
-    r1.add_interface("lan", net_a_prefix.host(254), net_a_prefix, medium=net_a)
-
-    r2 = Router(sim, "R2")
-    r2.add_interface("bb", backbone_net.host(2), backbone_net, medium=backbone)
-    r2.add_interface("lan", net_b_prefix.host(254), net_b_prefix, medium=net_b)
-
-    r3 = Router(sim, "R3")
-    r3.add_interface("bb", backbone_net.host(3), backbone_net, medium=backbone)
-    r3.add_interface("lan", net_c_prefix.host(254), net_c_prefix, medium=net_c)
-
-    r4 = Router(sim, "R4")
-    r4.add_interface("lan", net_c_prefix.host(4), net_c_prefix, medium=net_c)
-    r4.add_interface("cell", net_d_prefix.host(254), net_d_prefix, medium=net_d)
-
-    r5 = Router(sim, "R5")
-    r5.add_interface("lan", net_c_prefix.host(5), net_c_prefix, medium=net_c)
-    r5.add_interface("cell", net_e_prefix.host(254), net_e_prefix, medium=net_e)
-
-    # Static routes (a small, converged internetwork — the paper assumes
-    # ordinary IP routing works and changes nothing about it).
-    for prefix, via in [
-        (net_b_prefix, backbone_net.host(2)),
-        (net_c_prefix, backbone_net.host(3)),
-        (net_d_prefix, backbone_net.host(3)),
-        (net_e_prefix, backbone_net.host(3)),
-    ]:
-        r1.routing_table.add_next_hop(prefix, via, "bb")
-    for prefix, via in [
-        (net_a_prefix, backbone_net.host(1)),
-        (net_c_prefix, backbone_net.host(3)),
-        (net_d_prefix, backbone_net.host(3)),
-        (net_e_prefix, backbone_net.host(3)),
-    ]:
-        r2.routing_table.add_next_hop(prefix, via, "bb")
-    for prefix, via in [
-        (net_a_prefix, backbone_net.host(1)),
-        (net_b_prefix, backbone_net.host(2)),
-    ]:
-        r3.routing_table.add_next_hop(prefix, via, "bb")
-    r3.routing_table.add_next_hop(net_d_prefix, net_c_prefix.host(4), "lan")
-    r3.routing_table.add_next_hop(net_e_prefix, net_c_prefix.host(5), "lan")
-    r4.routing_table.set_default(net_c_prefix.host(254), "lan")
-    r5.routing_table.set_default(net_c_prefix.host(254), "lan")
-
-    # Agent roles.
-    r2_roles = make_agent_router(r2, home_iface="lan", advertise=advertise, **agent_kwargs)
-    r4_roles = make_agent_router(r4, foreign_iface="cell", advertise=advertise, **agent_kwargs)
-    r5_roles = make_agent_router(r5, foreign_iface="cell", advertise=advertise, **agent_kwargs)
-    r1_roles = None
-    if r1_is_cache_agent:
-        from repro.core.cache_agent import CacheAgent
-
-        r1_roles = AgentRouter(
-            node=r1,
-            cache_agent=CacheAgent(r1, examine_forwarded=True),
-            foreign_agent=None,
-            home_agent=None,
-        )
-
-    # Hosts.
-    if sender_is_cache_agent:
-        s: Host = StationaryCorrespondent(sim, "S")
-    else:
-        s = Host(sim, "S")
-    s.add_interface("eth0", net_a_prefix.host(1), net_a_prefix, medium=net_a)
-    s.set_gateway(net_a_prefix.host(254))
-
-    m = MobileHost(
-        sim,
-        "M",
-        home_address=net_b_prefix.host(10),
-        home_network=net_b_prefix,
-        home_agent=net_b_prefix.host(254),
-        use_sender_cache=mobile_sender_cache,
-    )
-
-    return Figure1Topology(
-        sim=sim,
-        backbone=backbone,
-        net_a=net_a, net_b=net_b, net_c=net_c, net_d=net_d, net_e=net_e,
-        backbone_net=backbone_net,
-        net_a_prefix=net_a_prefix, net_b_prefix=net_b_prefix,
-        net_c_prefix=net_c_prefix, net_d_prefix=net_d_prefix,
-        net_e_prefix=net_e_prefix,
-        r1=r1, r2=r2, r3=r3, r4=r4, r5=r5,
-        s=s, m=m,
-        r2_roles=r2_roles, r4_roles=r4_roles, r5_roles=r5_roles,
-        r1_roles=r1_roles,
-    )
+    return Figure1Topology(bind_sim(sim, figure1_plan(**params)))
 
 
 def drive_figure1(topo: Figure1Topology) -> None:
@@ -239,23 +80,31 @@ def drive_figure1(topo: Figure1Topology) -> None:
     sim.run(until=32.0)
 
 
-@dataclass
 class CampusTopology:
-    """A parameterized internetwork for the scalability experiments."""
+    """Named access to a bound star-of-routers world: one home network,
+    a correspondent network and one foreign-agent cell per router."""
 
-    sim: Simulator
-    backbone: LAN
-    home_lan: LAN
-    home_prefix: IPNetwork
-    home_router: Router
-    home_roles: AgentRouter
-    cells: List[WirelessCell] = field(default_factory=list)
-    cell_prefixes: List[IPNetwork] = field(default_factory=list)
-    cell_routers: List[Router] = field(default_factory=list)
-    cell_roles: List[AgentRouter] = field(default_factory=list)
-    mobile_hosts: List[MobileHost] = field(default_factory=list)
-    correspondents: List[Host] = field(default_factory=list)
-    correspondent_lan: Optional[LAN] = None
+    def __init__(self, world: World, name_prefix: str = "") -> None:
+        self.world = world
+        self.sim = world.sim
+        pre = name_prefix
+        self.backbone = world.media[f"{pre}backbone"]
+        self.backbone_net = world.prefixes[f"{pre}backbone"]
+        self.home_lan = world.home_medium
+        self.home_prefix = world.prefixes[f"{pre}home"]
+        self.home_router = world.by_name[f"{pre}HR"]
+        self.home_roles = world.home_roles
+        self.correspondent_lan = world.media[f"{pre}corr"]
+        self.correspondent_prefix = world.prefixes[f"{pre}corr"]
+        self.correspondent_router = world.by_name[f"{pre}CR"]
+        self.cells = world.cells
+        self.cell_prefixes = [world.prefixes[cell.name] for cell in world.cells]
+        self.cell_routers = [
+            world.by_name[f"{pre}FR{i}"] for i in range(len(world.cells))
+        ]
+        self.cell_roles = world.cell_roles
+        self.mobile_hosts = world.mobile_hosts
+        self.correspondents = world.correspondents
 
     def foreign_agent_addresses(self) -> List[IPAddress]:
         return [roles.foreign_agent.address for roles in self.cell_roles]
@@ -267,116 +116,11 @@ def build_campus(
     n_correspondents: int = 1,
     sim: Optional[Simulator] = None,
     seed: int = 42,
-    advertise: bool = False,
-    lan_latency: float = 0.001,
-    wireless_latency: float = 0.003,
-    address_base: int = 10,
-    name_prefix: str = "",
-    **agent_kwargs,
+    **params,
 ) -> CampusTopology:
-    """A star internetwork: one home network, ``n_cells`` foreign cells.
-
-    With ``advertise=False`` (the default, to keep big simulations quiet)
-    mobility models must drive registration explicitly through
-    :class:`~repro.workloads.mobility.ScriptedMobility` soliciting after
-    each attach — or simply enable advertising for small runs.
-
-    Address plan: backbone ``{B}.0.0.0/16``; home ``{B}.1.0.0/16`` (so
-    the scalability sweeps can register thousands of hosts); cell *i*
-    uses ``{B}.{100+i}.0.0/24``; correspondents live on
-    ``{B}.2.0.0/24`` — where ``B`` is ``address_base`` (default 10, the
-    historical plan).  A hierarchical world gives each campus its own
-    base, so every campus owns the ``{B}.0.0.0/8`` supernet and a border
-    gateway can classify local-vs-remote destinations by first octet.
-
-    ``name_prefix`` is prepended to every node and medium name (e.g.
-    ``"c3."``), keeping names unique when several campuses' traces and
-    health summaries are merged into one plane.
-    """
-    if n_cells < 1:
-        raise ValueError("need at least one cell")
-    if n_cells > 150:
-        raise ValueError("address plan supports at most 150 cells")
-    if not 1 <= address_base <= 223:
-        raise ValueError("address_base must be a valid unicast first octet")
+    """Build the campus star; ``params`` are
+    :func:`repro.plan.campus_plan`'s (``advertise``, latencies,
+    ``address_base``, ``name_prefix``, agent options)."""
     sim = sim or Simulator(seed=seed)
-    base = address_base
-    pre = name_prefix
-
-    backbone_net = IPNetwork(f"{base}.0.0.0/16")
-    backbone = LAN(sim, f"{pre}backbone", latency=lan_latency)
-
-    # /16 home network: the scalability bench registers up to tens of
-    # thousands of mobile hosts on one home agent.
-    home_prefix = IPNetwork(f"{base}.1.0.0/16")
-    home_lan = LAN(sim, f"{pre}home", latency=lan_latency)
-    home_router = Router(sim, f"{pre}HR")
-    home_router.add_interface("bb", backbone_net.host(1), backbone_net, medium=backbone)
-    home_router.add_interface("lan", home_prefix.host(65534), home_prefix, medium=home_lan)
-    home_roles = make_agent_router(
-        home_router, home_iface="lan", advertise=advertise, **agent_kwargs
-    )
-
-    corr_prefix = IPNetwork(f"{base}.2.0.0/24")
-    corr_lan = LAN(sim, f"{pre}corr", latency=lan_latency)
-    corr_router = Router(sim, f"{pre}CR")
-    corr_router.add_interface("bb", backbone_net.host(2), backbone_net, medium=backbone)
-    corr_router.add_interface("lan", corr_prefix.host(254), corr_prefix, medium=corr_lan)
-    corr_router.routing_table.set_default(backbone_net.host(1), "bb")
-
-    topo = CampusTopology(
-        sim=sim,
-        backbone=backbone,
-        home_lan=home_lan,
-        home_prefix=home_prefix,
-        home_router=home_router,
-        home_roles=home_roles,
-        correspondent_lan=corr_lan,
-    )
-
-    # The backbone is one LAN, so every router is one hop away; each
-    # router routes remote prefixes via the backbone directly.
-    home_router.routing_table.add_next_hop(corr_prefix, backbone_net.host(2), "bb")
-    corr_router.routing_table.add_next_hop(home_prefix, backbone_net.host(1), "bb")
-
-    for i in range(n_cells):
-        prefix = IPNetwork(f"{base}.{100 + i}.0.0/24")
-        cell = WirelessCell(sim, f"{pre}cell{i}", latency=wireless_latency)
-        router = Router(sim, f"{pre}FR{i}")
-        router.add_interface(
-            "bb", backbone_net.host(10 + i), backbone_net, medium=backbone
-        )
-        router.add_interface("cell", prefix.host(254), prefix, medium=cell)
-        router.routing_table.set_default(backbone_net.host(1), "bb")
-        roles = make_agent_router(
-            router, foreign_iface="cell", advertise=advertise, **agent_kwargs
-        )
-        home_router.routing_table.add_next_hop(prefix, backbone_net.host(10 + i), "bb")
-        corr_router.routing_table.add_next_hop(prefix, backbone_net.host(10 + i), "bb")
-        for other_index, other in enumerate(topo.cell_routers):
-            other.routing_table.add_next_hop(prefix, backbone_net.host(10 + i), "bb")
-            router.routing_table.add_next_hop(
-                topo.cell_prefixes[other_index], backbone_net.host(10 + other_index), "bb"
-            )
-        topo.cells.append(cell)
-        topo.cell_prefixes.append(prefix)
-        topo.cell_routers.append(router)
-        topo.cell_roles.append(roles)
-
-    for i in range(n_mobile_hosts):
-        mh = MobileHost(
-            sim,
-            f"{pre}M{i}",
-            home_address=home_prefix.host(1 + i),
-            home_network=home_prefix,
-            home_agent=home_prefix.host(65534),
-        )
-        topo.mobile_hosts.append(mh)
-
-    for i in range(n_correspondents):
-        host = StationaryCorrespondent(sim, f"{pre}C{i}")
-        host.add_interface("eth0", corr_prefix.host(1 + i), corr_prefix, medium=corr_lan)
-        host.set_gateway(corr_prefix.host(254))
-        topo.correspondents.append(host)
-
-    return topo
+    plan = campus_plan(n_cells, n_mobile_hosts, n_correspondents, **params)
+    return CampusTopology(bind_sim(sim, plan), params.get("name_prefix", ""))

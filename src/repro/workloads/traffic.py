@@ -70,13 +70,15 @@ class CBRStream:
     """A constant-bit-rate UDP stream from one host to another.
 
     Sequence numbers ride in the payload so the receiver can measure
-    loss and reordering across handoffs.
+    loss and reordering across handoffs.  ``receiver=None`` runs the
+    sender half alone (the partitioned engine binds its sinks wherever
+    the destination host currently lives).
     """
 
     def __init__(
         self,
         sender: Host,
-        receiver: Host,
+        receiver: Optional[Host],
         dst_address: IPAddress,
         interval: float,
         payload_size: int = 64,
@@ -95,8 +97,8 @@ class CBRStream:
         self.sent = 0
         self.log = DeliveryLog()
         self._sock = sender.udp.bind()
-        receiver_sock = receiver.udp.bind(port)
-        receiver_sock.on_receive = self._on_receive
+        if receiver is not None:
+            receiver.udp.bind(port).on_receive = self._on_receive
 
     def start(self) -> None:
         self.sender.sim.schedule_at(self.start_at, self._tick, label="cbr-send")

@@ -36,6 +36,18 @@ class TestRun:
         assert early.sim_time == pytest.approx(10.0)
         assert early.events < full.events
 
+    def test_media_latency_comes_from_the_spec_on_every_backend(self):
+        """The engine driver used to run every spec at its own constant
+        latencies, dropping the topology's ``wireless_latency``."""
+        from repro.harness.experiments import handoff_telemetry_spec
+
+        def latency_ms(backend, wireless_latency):
+            spec = handoff_telemetry_spec(1, wireless_latency, 0.5, 20.0)
+            return run(spec, backend=backend).health["latency_ms_mean"]
+
+        for name in ("sim", "engine"):
+            assert latency_ms(name, 0.03) > latency_ms(name, 0.003), name
+
     def test_live_backend(self):
         result = run(figure1_walkthrough_spec(), backend="live", speed=40.0)
         assert result.backend == "live"
@@ -83,22 +95,6 @@ class TestRejections:
     def test_partitioned_requires_partitions_field(self):
         with pytest.raises(ValueError, match="partitions"):
             run(figure1_walkthrough_spec(), backend="partitioned")
-
-
-class TestDeprecatedEntrypoints:
-    def test_run_engine_spec_warns_but_works(self):
-        from repro.wire.driver import run_engine_spec
-
-        with pytest.warns(DeprecationWarning, match="repro.backend.run"):
-            driver = run_engine_spec(figure1_walkthrough_spec())
-        assert len(driver.events) > 0
-
-    def test_run_live_spec_warns_but_works(self):
-        from repro.live.backend import run_live_spec
-
-        with pytest.warns(DeprecationWarning, match="repro.backend.run"):
-            live = run_live_spec(figure1_walkthrough_spec(), speed=40.0)
-        assert len(live.events) > 0
 
 
 class TestCli:

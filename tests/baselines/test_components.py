@@ -114,9 +114,9 @@ class TestGlobalRegistry:
         )
         from repro.core.registration import (
             RegistrationMessage,
-            ReliableRegistrar,
             next_seq,
         )
+        from repro.wire.roles import ReliableRegistrar
 
         registry = GlobalRegistry(b)
         registrar = ReliableRegistrar(a)

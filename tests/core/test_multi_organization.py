@@ -114,9 +114,9 @@ class TestCombinedAgentRouters:
         from repro.core.registration import (
             HA_REGISTER,
             RegistrationMessage,
-            ReliableRegistrar,
             next_seq,
         )
+        from repro.wire.roles import ReliableRegistrar
 
         env["mb"].attach(env["lan_a"])
         sim.run(until=5.0)

@@ -4,15 +4,14 @@ import pytest
 
 from repro.core.registration import (
     ACK,
-    ControlDispatcher,
     FA_CONNECT,
     HA_REGISTER,
     RegistrationMessage,
-    ReliableRegistrar,
     next_seq,
 )
 from repro.errors import RegistrationError
 from repro.ip.address import IPAddress
+from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 MH = IPAddress("10.2.0.10")
 

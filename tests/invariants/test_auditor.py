@@ -44,7 +44,7 @@ class TestCatalogue:
 
 class TestAttachment:
     def test_attach_sets_sim_auditor(self, figure1):
-        auditor = InvariantAuditor().attach(figure1.sim)
+        auditor = figure1.sim.attach(InvariantAuditor())
         assert figure1.sim.auditor is auditor
         auditor.detach()
         assert figure1.sim.auditor is None
@@ -159,7 +159,7 @@ class TestScenarios:
     def test_figure1_walkthrough_is_violation_free(self, figure1):
         from repro.workloads.topology import drive_figure1
 
-        auditor = InvariantAuditor().attach(figure1.sim)
+        auditor = figure1.sim.attach(InvariantAuditor())
         drive_figure1(figure1)
         cutoff = figure1.sim.now
         figure1.sim.run(until=cutoff + 10.0)
@@ -173,7 +173,7 @@ class TestScenarios:
         from repro.workloads.loops import build_loop, inject_and_measure
 
         topo = build_loop(loop_size=6, max_list=4, seed=3)
-        auditor = InvariantAuditor(max_previous_sources=4).attach(topo.sim)
+        auditor = topo.sim.attach(InvariantAuditor(max_previous_sources=4))
         inject_and_measure(topo, loop_size=6, max_list=4)
         topo.sim.run_until_idle()
         auditor.finalize()
@@ -185,7 +185,7 @@ class TestScenarios:
         topo = figure1
         topo.m.attach(topo.net_d)
         topo.sim.run(until=5.0)
-        auditor = InvariantAuditor().attach(topo.sim)
+        auditor = topo.sim.attach(InvariantAuditor())
         topo.m.disconnect()
         topo.sim.run(until=8.0)
         topo.s.ping(topo.m.home_address)
@@ -212,7 +212,7 @@ class TestGoldenTraceByteIdentity:
 
         _reset_global_counters()
         topo = build_figure1(seed=42)
-        auditor = InvariantAuditor().attach(topo.sim)
+        auditor = topo.sim.attach(InvariantAuditor())
         sim, s, m = topo.sim, topo.s, topo.m
         m.attach_home(topo.net_b)
         sim.run(until=5.0)

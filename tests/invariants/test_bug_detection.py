@@ -46,7 +46,7 @@ def _unchecked_from_bytes(cls, data):
 def _audited_figure1(figure1):
     from repro.workloads.topology import drive_figure1
 
-    auditor = InvariantAuditor().attach(figure1.sim)
+    auditor = figure1.sim.attach(InvariantAuditor())
     drive_figure1(figure1)
     cutoff = figure1.sim.now
     figure1.sim.run(until=cutoff + 10.0)
@@ -104,7 +104,7 @@ class TestSilentDiscardBug:
         topo = figure1
         topo.m.attach(topo.net_d)
         topo.sim.run(until=5.0)
-        auditor = InvariantAuditor().attach(topo.sim)
+        auditor = topo.sim.attach(InvariantAuditor())
 
         original = HomeAgent._intercept_plain
 
@@ -136,7 +136,7 @@ class TestUnknownDropReasonBug:
     def test_anonymous_drop_taxonomy_is_enforced(self, figure1):
         """Adding a new discard path without naming it in the taxonomy
         must fail the drop-reason rule."""
-        auditor = InvariantAuditor().attach(figure1.sim)
+        auditor = figure1.sim.attach(InvariantAuditor())
         topo = figure1
         topo.m.attach_home(topo.net_b)
         topo.sim.run(until=2.0)

@@ -11,8 +11,8 @@ import asyncio
 
 import pytest
 
-from repro.live.backend import DEFAULT_SPEED, LiveRun, VirtualClock, run_live_spec
-from repro.telemetry.health import ProtocolHealth
+from repro import backend as facade
+from repro.live.backend import DEFAULT_SPEED, LiveRun, VirtualClock
 from repro.wire.conformance import (
     backend_run_from_events,
     check_spec,
@@ -81,7 +81,7 @@ class TestLiveFlowSmoke:
             {"start": 8.0, "src": 0, "host": 0, "interval": 0.5, "count": 5},
         ]
         spec.probes = [{"t": 24.0, "src": 0, "host": 0}]
-        run = run_live_spec(spec, speed=DEFAULT_SPEED)
+        run = facade.run(spec, backend="live", speed=DEFAULT_SPEED).detail
         mh = run.topo.mobile_host(0)
         assert mh.flow_datagrams == 5
         assert mh.probes_received == 2
@@ -93,11 +93,10 @@ class TestLoopbackSmoke:
 
     @pytest.fixture(scope="class")
     def finished(self):
-        health = ProtocolHealth()
-        run = run_live_spec(
-            figure1_walkthrough_spec(), speed=DEFAULT_SPEED, health=health
-        )
-        return run, health
+        run = facade.run(
+            figure1_walkthrough_spec(), backend="live", speed=DEFAULT_SPEED
+        ).detail
+        return run, run.feed.health
 
     def test_every_interface_got_its_own_port(self, finished):
         run, _ = finished
@@ -148,7 +147,7 @@ class TestVirtualClockDrift:
 
 class TestRuntimeSampler:
     def test_sampler_runs_and_prunes_timer_wheel(self):
-        run = run_live_spec(figure1_walkthrough_spec(), speed=40.0)
+        run = facade.run(figure1_walkthrough_spec(), backend="live", speed=40.0).detail
         assert run.runtime_samples >= 2
         assert run.drift_warnings == 0
         # The sampler pruned fired handles; the wheel never holds the
@@ -175,10 +174,10 @@ class TestRuntimeSampler:
         from repro.obs import ObsPlane
 
         path = tmp_path / "snap.jsonl"
-        run = run_live_spec(
-            figure1_walkthrough_spec(), speed=40.0, obs=ObsPlane(),
-            snapshot_path=str(path),
-        )
+        run = facade.run(
+            figure1_walkthrough_spec(), backend="live", speed=40.0,
+            obs=ObsPlane(), snapshot_path=str(path),
+        ).detail
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == run.runtime_samples
         times = [row["t_virtual"] for row in rows]
@@ -189,12 +188,12 @@ class TestRuntimeSampler:
     def test_endpoint_counters_only_when_attached(self):
         from repro.obs import ObsPlane
 
-        detached = run_live_spec(figure1_walkthrough_spec(), speed=40.0)
+        detached = facade.run(figure1_walkthrough_spec(), backend="live", speed=40.0).detail
         assert detached._endpoint_counters == {}
         obs = ObsPlane()
-        attached = run_live_spec(
-            figure1_walkthrough_spec(), speed=40.0, obs=obs
-        )
+        attached = facade.run(
+            figure1_walkthrough_spec(), backend="live", speed=40.0, obs=obs
+        ).detail
         assert attached._endpoint_counters
         snapshot = obs.metrics.snapshot()
         rx = sum(

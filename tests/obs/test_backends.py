@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend import run
 from repro.obs import ObsPlane, normalized_dag
 from repro.wire.conformance import conformance_specs, figure1_walkthrough_spec
-from repro.wire.driver import run_engine_spec
 
 
 def _sim_dag(spec):
@@ -34,7 +34,7 @@ def _sim_dag(spec):
 
 def _driver_dag(spec):
     obs = ObsPlane()
-    run_engine_spec(spec, obs=obs)
+    run(spec, backend="engine", obs=obs)
     return normalized_dag(obs.spans), obs
 
 
@@ -62,12 +62,10 @@ class TestCorpusDagIdentity:
 
 class TestLiveDagIdentity:
     def test_figure1_live_matches_driver(self):
-        from repro.live.backend import run_live_spec
-
         spec = figure1_walkthrough_spec()
         driver_dag, _ = _driver_dag(spec)
         obs = ObsPlane()
-        run_live_spec(spec, obs=obs)
+        run(spec, backend="live", obs=obs)
         assert normalized_dag(obs.spans) == driver_dag
 
 

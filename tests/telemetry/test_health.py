@@ -95,8 +95,9 @@ def test_attach_without_trace_subscription():
     sim, s, m = topo.sim, topo.s, topo.m
     sim.tracer.enabled = False
     sim.tracer.clear()  # drop the build-time advertisement frames
-    hub = ProtocolHealth(journey_index=False).attach(
-        sim, nodes=[s, topo.r1, topo.r2, topo.r3, topo.r4, topo.r5, m],
+    hub = sim.attach(
+        ProtocolHealth(journey_index=False),
+        nodes=[s, topo.r1, topo.r2, topo.r3, topo.r4, topo.r5, m],
         subscribe_trace=False,
     )
     m.attach_home(topo.net_b)
