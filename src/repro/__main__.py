@@ -172,4 +172,11 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    from repro.errors import ConfigurationError
+
+    try:
+        raise SystemExit(main(sys.argv[1:]))
+    except ConfigurationError as exc:
+        # e.g. a corpus scenario whose topology this backend cannot build
+        print(exc, file=sys.stderr)
+        raise SystemExit(2)

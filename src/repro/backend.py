@@ -153,18 +153,21 @@ def _run_engine(spec, obs, until) -> RunResult:
 def _run_live(spec, obs, until, **opts) -> RunResult:
     if until is not None:
         raise ValueError("the live backend always runs to the spec horizon")
-    from repro.live.backend import DEFAULT_SPEED, _run_live_spec
+    import asyncio
+
+    from repro.live.backend import DEFAULT_SPEED, LiveRun
     from repro.telemetry.health import ProtocolHealth
 
     health = ProtocolHealth()
     started = time.perf_counter()
-    live_run = _run_live_spec(
+    live_run = LiveRun(
         spec,
         speed=float(opts.pop("speed", None) or DEFAULT_SPEED),
         health=health,
         obs=_as_obs_plane(obs),
         **opts,
     )
+    asyncio.run(live_run.main())
     return RunResult(
         backend="live",
         spec_name=spec.name,
@@ -273,28 +276,40 @@ def run(
 # ----------------------------------------------------------------------
 # CLI: python -m repro run
 # ----------------------------------------------------------------------
-def _resolve_spec(name: str) -> ScenarioSpec:
-    """A corpus name (conformance or partition), or a spec JSON path."""
+def _corpus_specs():
+    """Conformance corpus first: a match there never imports
+    ``repro.partition`` (~30 ms of multiprocessing machinery)."""
+    from repro.wire.conformance import conformance_specs
+
+    yield from conformance_specs()
+    from repro.partition.corpus import partition_corpus_specs
+
+    yield from partition_corpus_specs()
+
+
+def scenario_names() -> list:
+    """The one scenario-name table: every name :func:`resolve_spec`
+    knows (``run``, ``live`` and ``top`` all resolve through it)."""
+    return ["figure1"] + [spec.name for spec in _corpus_specs()]
+
+
+def resolve_spec(name: str) -> ScenarioSpec:
+    """A corpus name (conformance or partition; ``conformance-`` may be
+    left out, ``figure1``/``walkthrough`` are aliases), or the path of a
+    scenario JSON (spec or fuzzer-v1 format)."""
     import json
     from pathlib import Path
 
-    from repro.partition.corpus import partition_corpus_specs
-    from repro.wire.conformance import conformance_specs, figure1_walkthrough_spec
-
     if name in ("figure1", "walkthrough"):
-        return figure1_walkthrough_spec()
-    for spec in conformance_specs() + partition_corpus_specs():
+        name = "figure1-walkthrough"
+    for spec in _corpus_specs():
         if name in (spec.name, spec.name.replace("conformance-", "")):
             return spec
     path = Path(name)
     if not path.exists():
-        known = ", ".join(
-            ["figure1"]
-            + [s.name for s in conformance_specs()]
-            + [s.name for s in partition_corpus_specs()]
-        )
         raise FileNotFoundError(
-            f"unknown scenario {name!r}: not one of [{known}] and no such file"
+            f"unknown scenario {name!r}: not one of "
+            f"[{', '.join(scenario_names())}] and no such file"
         )
     data = json.loads(path.read_text())
     if "topology" in data:
@@ -365,7 +380,7 @@ def run_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = _resolve_spec(args.scenario)
+        spec = resolve_spec(args.scenario)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -409,31 +409,11 @@ class LiveRun(ScheduleActions):
                 port = transport.get_extra_info("sockname")[1]
                 self._endpoints[(node.name, iface_name)] = (transport, port)
 
-    def _install_schedule(self) -> None:
-        from repro.scenario.spec import PROBE_GAP
-
-        loop = asyncio.get_running_loop()
-        entries = (
-            [("move", e["t"], (e["host"], e["to"])) for e in self.spec.moves]
-            + [("fault", e["t"], (e["node"], e["kind"])) for e in self.spec.faults]
-            + [("flow", e["start"], (i, e)) for i, e in enumerate(self.spec.flows)]
-            + [("probe", e["t"], (e["src"], e["host"])) for e in self.spec.probes]
-            + [("probe", e["t"] + PROBE_GAP, (e["src"], e["host"]))
-               for e in self.spec.probes]
-            + [("ping", e["t"], (e["src"], e["host"])) for e in self.spec.pings]
-        )
-        actions = {
-            "move": self._apply_move,
-            "fault": self._apply_fault,
-            "flow": self._apply_flow,
-            "probe": self._apply_probe,
-            "ping": self._apply_ping,
-        }
-        for kind, t, args in entries:
-            handle = loop.call_later(
-                self.clock.wall_delay(float(t)), partial(actions[kind], *args)
-            )
-            self._handles.append(handle)
+    def _at(self, t: float, action, label: str) -> None:
+        """Schedule entries ride the wall-clock wheel, like timers."""
+        self._handles.append(asyncio.get_running_loop().call_later(
+            self.clock.wall_delay(float(t)), action
+        ))
 
     async def main(self) -> "LiveRun":
         """Open sockets, boot the engines, run the schedule to the
@@ -451,7 +431,7 @@ class LiveRun(ScheduleActions):
         self.clock.start()
         for node in self.world.nodes.values():
             self.process(node, node.start(self.now))
-        self._install_schedule()
+        self._install(self.spec.entries())
         self._schedule_sample()
         await asyncio.sleep(self.clock.wall_delay(self.horizon))
         # Drain one scheduler beat so in-flight datagrams at the horizon
@@ -475,22 +455,3 @@ class LiveRun(ScheduleActions):
             self._snapshot_file = None
         await asyncio.sleep(0)
         return self
-
-
-def _run_live_spec(
-    spec,
-    speed: float = DEFAULT_SPEED,
-    health=None,
-    obs=None,
-    serve_metrics: bool = False,
-    snapshot_path: Optional[str] = None,
-) -> LiveRun:
-    """Execute a ScenarioSpec over loopback UDP and return the finished
-    :class:`LiveRun` (its ``events`` log feeds the conformance diff).
-    Internal entry point behind :func:`repro.backend.run`."""
-    run = LiveRun(
-        spec, speed=speed, health=health, obs=obs,
-        serve_metrics=serve_metrics, snapshot_path=snapshot_path,
-    )
-    asyncio.run(run.main())
-    return run

@@ -19,37 +19,6 @@ from typing import List, Optional
 
 from repro.clibase import build_parser
 
-LIVE_SCENARIOS = (
-    "figure1", "fuzz-1101", "fuzz-1102", "fuzz-1103", "local-query-1104",
-)
-
-
-def _resolve_spec(name: str):
-    """A corpus name, or the path of a scenario JSON (spec v1 or fuzzer
-    v1 format)."""
-    from repro.scenario.spec import ScenarioSpec
-    from repro.wire.conformance import (
-        conformance_specs,
-        figure1_walkthrough_spec,
-    )
-
-    if name in ("figure1", "walkthrough"):
-        return figure1_walkthrough_spec()
-    for spec in conformance_specs():
-        if name in (spec.name, spec.name.replace("conformance-", "")):
-            return spec
-    path = Path(name)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"unknown scenario {name!r}: not one of {LIVE_SCENARIOS} "
-            f"and no such file"
-        )
-    data = json.loads(path.read_text())
-    if "topology" in data:
-        return ScenarioSpec.from_dict(data)
-    return ScenarioSpec.from_fuzz_v1(data)
-
-
 def _render_summary(run, summary: dict, report) -> str:
     lines = [
         f"live run {run.spec.name!r}: horizon {run.horizon:g}s at "
@@ -68,6 +37,7 @@ def _render_summary(run, summary: dict, report) -> str:
 
 
 def live_main(argv: Optional[List[str]] = None) -> int:
+    from repro.backend import resolve_spec
     from repro.live.backend import DEFAULT_SPEED
 
     parser = build_parser(
@@ -78,8 +48,8 @@ def live_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "scenario", nargs="?", default="figure1",
-        help="a corpus scenario (%s) or a scenario JSON path "
-             "(default figure1)" % ", ".join(LIVE_SCENARIOS),
+        help="a corpus scenario name or a scenario JSON path "
+             "(default figure1; an unknown name lists the corpus)",
     )
     parser.add_argument(
         "--speed", type=float, default=DEFAULT_SPEED,
@@ -118,7 +88,7 @@ def live_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        spec = _resolve_spec(args.scenario)
+        spec = resolve_spec(args.scenario)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2

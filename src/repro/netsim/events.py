@@ -187,6 +187,19 @@ class EventQueue:
         self._insert_entries(entries)
         return n
 
+    def push_one(self, time: float, action: Callable[[], Any]) -> None:
+        """Schedule a single action as a bulk entry (see :meth:`push_bulk`):
+        no :class:`Event`, no list to build.  ``time`` must already be a
+        float — the engine driver calls this once per datagram delivery
+        with ``now + latency``, where an ``Event`` per datagram measured
+        8-10 % of end-to-end throughput."""
+        if time < 0:
+            raise SimulationError(f"cannot schedule event at negative time {time!r}")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, action))
+        self._live += 1
+
     def push_many(self, pairs: Iterable[Tuple[float, Callable[[], Any]]]) -> int:
         """Schedule many ``(time, action)`` pairs as bulk entries.
 
@@ -290,7 +303,11 @@ class EventQueue:
         """Drop every cancelled event from the heap now (O(n))."""
         if self._cancelled_pending == 0:
             return
-        self._heap = [
+        # In place: the simulator's run loops hold this list under a
+        # local alias, and compaction can be triggered from inside an
+        # event (a timer cancel); rebinding would strand them on the
+        # old list and silently truncate the run.
+        self._heap[:] = [
             entry
             for entry in self._heap
             if entry[2].__class__ is not Event or not entry[2].cancelled

@@ -37,39 +37,27 @@ BACKENDS = ("sim", "driver", "live")
 # ----------------------------------------------------------------------
 
 def _run_backend(spec, backend: str, speed: float):
-    """Run ``spec`` with health + obs attached; returns (health, obs,
-    extra-runtime-lines)."""
+    """Run ``spec`` through the facade with health + obs attached;
+    returns (health, obs, extra-runtime-lines)."""
+    from repro.backend import run
     from repro.obs import ObsPlane
 
-    if backend == "sim":
-        from repro.scenario.session import Session
-        from repro.scenario.spec import ScenarioSpec
-
-        data = spec.to_dict()
-        data["instruments"] = [{"kind": "health"}, {"kind": "obs"}]
-        session = Session(ScenarioSpec.from_dict(data))
-        session.run_full()
-        return session.telemetry, session.obs, []
-    from repro.telemetry.health import ProtocolHealth
-
-    health = ProtocolHealth()
     obs = ObsPlane()
+    if backend == "sim":
+        session = run(spec, "sim", obs=obs).detail
+        return session.telemetry, obs, []
     if backend == "driver":
-        from repro.wire.driver import _run_engine_spec
-
-        _run_engine_spec(spec, health=health, obs=obs)
-        return health, obs, []
-    from repro.live.backend import _run_live_spec
-
-    run = _run_live_spec(spec, speed=speed, health=health, obs=obs)
+        driver = run(spec, "engine", obs=obs).detail
+        return driver.feed.health, obs, []
+    live = run(spec, "live", obs=obs, speed=speed).detail
     extra = [
-        f"  runtime: {run.runtime_samples} samples, max drift "
-        f"{run.clock.max_drift_virtual:.3f}s virtual, "
-        f"{run.drift_warnings} drift warnings, "
-        f"{run.datagrams_sent} datagrams sent / "
-        f"{run.datagrams_received} received",
+        f"  runtime: {live.runtime_samples} samples, max drift "
+        f"{live.clock.max_drift_virtual:.3f}s virtual, "
+        f"{live.drift_warnings} drift warnings, "
+        f"{live.datagrams_sent} datagrams sent / "
+        f"{live.datagrams_received} received",
     ]
-    return health, obs, extra
+    return live.feed.health, obs, extra
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +136,8 @@ def _tail(path: Path, args) -> int:
 # ----------------------------------------------------------------------
 
 def top_main(argv: Optional[List[str]] = None) -> int:
+    from repro.backend import resolve_spec
     from repro.live.backend import DEFAULT_SPEED
-    from repro.live.cli import LIVE_SCENARIOS
 
     parser = build_parser(
         "top",
@@ -159,9 +147,9 @@ def top_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "source", nargs="?", default="figure1",
-        help="a corpus scenario (%s), a scenario JSON path, or a JSONL "
-             "snapshot stream from `live --snapshots` (default figure1)"
-             % ", ".join(LIVE_SCENARIOS),
+        help="a corpus scenario name (an unknown name lists the corpus), "
+             "a scenario JSON path, or a JSONL snapshot stream from "
+             "`live --snapshots` (default figure1)",
     )
     parser.add_argument(
         "--backend", choices=BACKENDS, default="sim",
@@ -199,10 +187,8 @@ def top_main(argv: Optional[List[str]] = None) -> int:
     if path.is_file() and path.suffix == ".jsonl":
         return _tail(path, args)
 
-    from repro.live.cli import _resolve_spec
-
     try:
-        spec = _resolve_spec(args.source)
+        spec = resolve_spec(args.source)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2

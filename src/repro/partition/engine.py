@@ -50,6 +50,7 @@ from repro.scenario.session import (
 )
 from repro.scenario.spec import ScenarioSpec, canonical_json
 from repro.workloads.hierarchy import HierarchyModel, merge_load_summaries
+from repro.workloads.traffic import optional_numpy
 
 #: Backstop against a livelocked exchange loop (a zero-delay event
 #: cycle bouncing between partitions forever).
@@ -300,6 +301,8 @@ def run_partitioned(spec: ScenarioSpec, workers: int = 0) -> PartitionedResult:
     started = time.perf_counter()
 
     if workers:
+        if spec.topology.get("load"):
+            optional_numpy()  # the load model's: import once, before the forks
         backends: List = [_ParallelPartition(spec, i) for i in range(n)]
         for backend in backends:
             backend.wait_ready()

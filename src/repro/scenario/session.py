@@ -148,17 +148,19 @@ def discard_probe(packet, iface) -> None:
 
 
 class ScheduleInstaller:
-    """Instruments and ``move``/``fault``/``probe``/``ping`` entries of a
-    :class:`~repro.scenario.spec.ScenarioSpec`, installed on ``self.sim``
-    over ``self.world``.
+    """The one reader of a :class:`~repro.scenario.spec.ScenarioSpec`'s
+    ``move``/``fault``/``flow``/``probe``/``ping`` entries, on every
+    backend: :meth:`_install` queues each action through one seam,
+    :meth:`_at`.
 
-    :class:`Session` and the per-campus
-    :class:`~repro.partition.runtime.PartitionRuntime` share this; each
-    supplies how indices resolve onto its rosters
-    (:meth:`_correspondent`, :meth:`_home_address`), what a move does,
-    and how flows bind their endpoints.  Every scheduled callable is a
-    :func:`functools.partial` over a bound method: deepcopy-safe by
-    construction.
+    This class is also the simulator actuator, over ``self.sim`` and
+    ``self.world``: :class:`Session` and the per-campus
+    :class:`~repro.partition.runtime.PartitionRuntime` supply how indices
+    resolve onto their rosters (:meth:`_correspondent`,
+    :meth:`_home_address`), what a move does, and how flows bind their
+    endpoints; :class:`repro.wire.driver.ScheduleActions` is the engine
+    actuator.  Every scheduled callable is a :func:`functools.partial`
+    over a bound method: deepcopy-safe by construction.
     """
 
     sim: Simulator
@@ -193,37 +195,42 @@ class ScheduleInstaller:
         for kind, entry in entries:
             getattr(self, f"_install_{kind}")(entry)
 
+    def _at(self, t: float, action, label: str) -> None:
+        """Queue ``action`` for scenario time ``t``.  The live backend
+        overrides this with its wall-clock wheel."""
+        self.sim.schedule_at(t, action, label=label)
+
     def _install_move(self, entry: dict) -> None:
-        self.sim.schedule_at(
+        self._at(
             entry["t"],
             functools.partial(self._apply_move, entry["host"], entry["to"]),
-            label="scenario-move",
+            "scenario-move",
         )
 
     def _install_fault(self, entry: dict) -> None:
-        self.sim.schedule_at(
+        self._at(
             entry["t"],
             functools.partial(self._apply_fault, entry["node"], entry["kind"]),
-            label="scenario-fault",
+            "scenario-fault",
         )
 
     def _install_probe(self, entry: dict) -> None:
-        self.sim.schedule_at(
+        self._at(
             entry["t"],
             functools.partial(self._send_probe, entry["src"], entry["host"], False),
-            label="scenario-probe-warm",
+            "scenario-probe-warm",
         )
-        self.sim.schedule_at(
+        self._at(
             entry["t"] + PROBE_GAP,
             functools.partial(self._send_probe, entry["src"], entry["host"], True),
-            label="scenario-probe-audited",
+            "scenario-probe-audited",
         )
 
     def _install_ping(self, entry: dict) -> None:
-        self.sim.schedule_at(
+        self._at(
             entry["t"],
             functools.partial(self._send_ping, entry["src"], entry["host"]),
-            label="scenario-ping",
+            "scenario-ping",
         )
 
     # -- actions -------------------------------------------------------

@@ -45,10 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-try:  # numpy is optional, same policy as repro.workloads.traffic
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in the dev image
-    _np = None
+from repro.workloads.traffic import optional_numpy
 
 #: First octet of campus 0's supernet; campus ``i`` uses ``10 + i``.
 CAMPUS_BASE = 10
@@ -216,10 +213,11 @@ class RegistrationLoadModel:
         n_events = self.n_hosts * self.moves_per_host
         span = max(self.horizon - self.start, 1e-9)
         others = [c for c in range(self.model.n_campuses) if c != self.campus]
-        if _np is not None:
-            rng = _np.random.default_rng(self.seed)
+        np = optional_numpy()
+        if np is not None:
+            rng = np.random.default_rng(self.seed)
             times = (self.start + rng.random(n_events) * span)
-            times = _np.sort(times).tolist()
+            times = np.sort(times).tolist()
             cross = rng.random(n_events) >= self.locality
             if others:
                 picks = rng.integers(0, len(others), n_events)

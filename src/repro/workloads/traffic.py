@@ -13,10 +13,22 @@ from typing import List, Optional, Tuple
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
 
-try:  # numpy is optional: bulk generators fall back to pure python
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships in the dev image
-    _np = None
+#: numpy, or ``None`` when missing (tests set ``None`` to force the
+#: pure-python paths); ``...`` until :func:`optional_numpy` has looked.
+_np = ...
+
+
+def optional_numpy():
+    """numpy or ``None`` — optional (bulk generators fall back to pure
+    python) and imported on first use: ~100 ms and ~13 MiB that a run
+    which never vectorizes does not pay."""
+    global _np
+    if _np is ...:
+        try:
+            import numpy as _np
+        except ImportError:  # pragma: no cover - numpy ships in the dev image
+            _np = None
+    return _np
 
 
 @dataclass
@@ -40,16 +52,17 @@ class DeliveryLog:
         if not self.received:
             return {"count": 0, "first": None, "last": None,
                     "mean_gap": None, "reordered": 0}
-        if _np is not None and len(self.received) > 1:
-            arr = _np.asarray(self.received, dtype=_np.float64)
+        np = optional_numpy() if len(self.received) > 1 else None
+        if np is not None:
+            arr = np.asarray(self.received, dtype=np.float64)
             times, seqs = arr[:, 0], arr[:, 1]
-            gaps = _np.diff(times)
+            gaps = np.diff(times)
             return {
                 "count": len(self.received),
                 "first": float(times[0]),
                 "last": float(times[-1]),
                 "mean_gap": float(gaps.sum() / len(gaps)),
-                "reordered": int((_np.diff(seqs) < 0).sum()),
+                "reordered": int((np.diff(seqs) < 0).sum()),
             }
         times = [t for t, _ in self.received]
         seqs = [s for _, s in self.received]
@@ -159,11 +172,12 @@ class VectorCBRStream(CBRStream):
         )
 
     def _send_times(self, n: int) -> List[float]:
-        if _np is not None:
-            steps = _np.empty(n, dtype=_np.float64)
+        np = optional_numpy()
+        if np is not None:
+            steps = np.empty(n, dtype=np.float64)
             steps[0] = self.start_at
             steps[1:] = self.interval
-            return _np.cumsum(steps).tolist()
+            return np.cumsum(steps).tolist()
         times: List[float] = []
         t = self.start_at
         for _ in range(n):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.live.cli import LIVE_SCENARIOS, _resolve_spec, live_main
+from repro.backend import resolve_spec as _resolve_spec, scenario_names
+from repro.live.cli import live_main
 
 
 class TestScenarioResolution:
@@ -56,5 +57,5 @@ class TestMain:
         assert capsys.readouterr().out == ""
 
     def test_scenario_listing_is_current(self):
-        for name in LIVE_SCENARIOS:
+        for name in scenario_names():
             _resolve_spec(name)

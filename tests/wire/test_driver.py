@@ -20,11 +20,14 @@ class TestBootAndScheduling:
         driver = figure1_driver()
         # The periodic advertiser timers (R2's HA, R4/R5's FAs) are armed
         # by the boot turn itself.
-        assert sorted(a[1] for _, _, a in driver._heap if a[0] == "timer") == [
-            "R2", "R4", "R5",
-        ]
+        armed = sorted(
+            event.label.split(":")[1]
+            for event in driver.sim.queue.iter_pending()
+            if event.label.startswith("timer:")
+        )
+        assert armed == ["R2", "R4", "R5"]
         # Once someone is listening on the home cell, adverts arrive.
-        driver.schedule_move(0.0, 0, -1)
+        driver._install([("move", {"t": 0.0, "host": 0, "to": -1})])
         driver.run(until=5.0)
         assert driver.datagrams_delivered > 0
 
@@ -170,8 +173,10 @@ class TestLocalQueryRecovery:
         assert fa.believe_home_agent is False
         # Attach M to net D and prime S's cache so it keeps tunneling
         # to R4 after the crash.
-        driver.schedule_move(0.0, 0, 0)
-        driver.schedule_ping(5.0, 0, 0)
+        driver._install([
+            ("move", {"t": 0.0, "host": 0, "to": 0}),
+            ("ping", {"t": 5.0, "src": 0, "host": 0}),
+        ])
         driver.run(until=10.0)
         assert fa.is_serving(mh.home_address)
         # Crash/reboot R4 with the advertiser muted (the reboot turn's
