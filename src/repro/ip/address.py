@@ -11,12 +11,21 @@ are visible in this repository.
 from __future__ import annotations
 
 import re
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterator, Union
 
 from repro.errors import AddressError
 
 _DOTTED_QUAD = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+
+
+# Every traced packet renders its two addresses, and a run uses few
+# distinct ones: the bounded cache turns the four shifts and the
+# f-string into one C-level lookup.
+@lru_cache(maxsize=4096)
+def _dotted_quad(v: int) -> str:
+    return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+
 
 #: The special "foreign agent address zero" a mobile host registers with its
 #: home agent when it has returned home (paper, Section 3).
@@ -121,8 +130,7 @@ class IPAddress:
         return hash(("IPAddress", self._value))
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+        return _dotted_quad(self._value)
 
     def __repr__(self) -> str:
         return f"IPAddress({str(self)!r})"

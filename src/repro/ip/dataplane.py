@@ -96,6 +96,10 @@ class DataplaneCounters:
     ``icmp_sent``   (any)           ICMP errors this node generated
     ``tx``          egress          packets handed to an interface
     ==============  ==============  =======================================
+
+    The mobility roles bump counters by name (``RolePort.bump`` in
+    :mod:`repro.wire.roles` uses ``setattr``), so a grep for ``+=``
+    misses them — ``tunneled`` is only ever incremented that way.
     """
 
     __slots__ = (

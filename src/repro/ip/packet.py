@@ -122,7 +122,13 @@ class IPPacket:
 
     @property
     def total_length(self) -> int:
-        """Full packet size in bytes."""
+        """Full packet size in bytes.
+
+        Computed on every read, never stamped: tunneling grows the MHRP
+        header's previous-source list in place and the LSRR agents append
+        options in place, so a stored length would go stale."""
+        if not self.options:
+            return BASE_HEADER_LEN + self.payload.byte_length
         return self.header_length + self.payload.byte_length
 
     @property

@@ -91,15 +91,16 @@ class Medium:
         """Transmit ``frame`` from ``sender`` onto the medium."""
         if not self.is_attached(sender):
             raise LinkError(f"{sender} transmitting on {self.name} while detached")
+        size = frame.byte_length
         self.frames_transmitted += 1
-        self.bytes_transmitted += frame.byte_length
+        self.bytes_transmitted += size
         if self.sim.trace_active("link.tx"):
             self.sim.trace(
                 "link.tx",
                 sender.node_name,
                 medium=self.name,
                 frame=repr(frame.payload),
-                bytes=frame.byte_length,
+                bytes=size,
                 uid=getattr(frame.payload, "uid", None),
             )
         if frame.is_broadcast:

@@ -10,8 +10,9 @@ Categories are free-form strings; the conventional ones are listed in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, MutableSequence, Optional
+from typing import Any, Callable, Iterable, Iterator, MutableSequence, NamedTuple, Optional
+
+Listener = Callable[["TraceEntry"], None]
 
 #: Conventional trace categories emitted by the library.
 CATEGORIES = (
@@ -32,14 +33,19 @@ CATEGORIES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    """One traced occurrence."""
+class TraceEntry(NamedTuple):
+    """One traced occurrence.
+
+    A tuple, because one is built per record and a tuple builds in a
+    third of the time a frozen dataclass does; assigning to a field
+    raises all the same.  The default ``detail`` is one shared empty
+    dict, which is safe only because no entry's detail is ever mutated.
+    """
 
     time: float
     category: str
     node: str
-    detail: dict[str, Any] = field(default_factory=dict)
+    detail: dict[str, Any] = {}
 
     def __str__(self) -> str:
         parts = " ".join(f"{k}={v}" for k, v in self.detail.items())
@@ -65,6 +71,11 @@ class Tracer:
     newest entries; :attr:`dropped` counts what fell off the front.
     Listeners still see every entry, so streaming consumers (wire-size
     trackers, journey builders) are unaffected by the bound.
+
+    A listener subscribed with ``categories`` is called only for those
+    categories.  The per-category call lists are rebuilt on every
+    (un)subscribe, so :meth:`record` pays one dict lookup and calls
+    nobody who would ignore the entry.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -73,7 +84,12 @@ class Tracer:
         self.dropped = 0
         self._max_entries: Optional[int] = None
         self._allowed: Optional[set[str]] = None
-        self._listeners: list[Callable[[TraceEntry], None]] = []
+        #: ``(listener, categories or None)`` in subscription order.
+        self._subscriptions: list[tuple[Listener, Optional[frozenset[str]]]] = []
+        #: Listeners per category named by some subscription; every
+        #: other category goes to ``_wildcard`` (the unscoped listeners).
+        self._routes: dict[str, tuple[Listener, ...]] = {}
+        self._wildcard: tuple[Listener, ...] = ()
         if max_entries is not None:
             self.limit(max_entries)
 
@@ -100,22 +116,48 @@ class Tracer:
         """Record only the given categories (``None`` = record everything)."""
         self._allowed = set(categories) if categories is not None else None
 
-    def subscribe(self, listener: Callable[[TraceEntry], None]) -> None:
-        """Invoke ``listener`` for every recorded entry (after filtering)."""
-        self._listeners.append(listener)
+    def subscribe(
+        self, listener: Listener, categories: Optional[Iterable[str]] = None
+    ) -> None:
+        """Invoke ``listener`` for every recorded entry (after filtering),
+        or only for entries in ``categories`` when given.  Within one
+        category, listeners are called in subscription order."""
+        scope = frozenset(categories) if categories is not None else None
+        self._subscriptions.append((listener, scope))
+        self._reroute()
 
-    def unsubscribe(self, listener: Callable[[TraceEntry], None]) -> bool:
+    def unsubscribe(self, listener: Listener) -> bool:
         """Remove a listener previously passed to :meth:`subscribe`.
 
         Returns ``True`` if it was found.  Matching is by equality, which
         for bound methods means "same method of the same object" — so an
         instrument can unsubscribe the bound listener it subscribed with.
         """
-        try:
-            self._listeners.remove(listener)
-            return True
-        except ValueError:
-            return False
+        for i, (subscribed, _) in enumerate(self._subscriptions):
+            if subscribed == listener:
+                del self._subscriptions[i]
+                self._reroute()
+                return True
+        return False
+
+    def listeners(self) -> list[Listener]:
+        """Every subscribed listener, in subscription order."""
+        return [listener for listener, _ in self._subscriptions]
+
+    def _reroute(self) -> None:
+        subscriptions = self._subscriptions
+        named = {c for _, scope in subscriptions if scope is not None for c in scope}
+        self._wildcard = tuple(
+            listener for listener, scope in subscriptions if scope is None
+        )
+        self._routes = {
+            category: tuple(
+                listener
+                for listener, scope in subscriptions
+                if scope is None or category in scope
+            )
+            for category in named
+        }
 
     def active(self, category: str) -> bool:
         """Whether a :meth:`record` call for ``category`` would store an
@@ -143,11 +185,11 @@ class Tracer:
             return
         if self._allowed is not None and category not in self._allowed:
             return
-        entry = TraceEntry(time=time, category=category, node=node, detail=detail)
+        entry = TraceEntry(time, category, node, detail)  # positional: ~40 % cheaper
         if self._max_entries is not None and len(self.entries) == self._max_entries:
             self.dropped += 1
         self.entries.append(entry)
-        for listener in self._listeners:
+        for listener in self._routes.get(category, self._wildcard):
             listener(entry)
 
     def _matching(
@@ -207,7 +249,7 @@ class Tracer:
             "max_entries": self._max_entries,
             "allowed": sorted(self._allowed) if self._allowed is not None else None,
             "n_entries": len(self.entries),
-            "n_listeners": len(self._listeners),
+            "n_listeners": len(self._subscriptions),
         }
 
     def load_state(self, state: dict) -> None:

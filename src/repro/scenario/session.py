@@ -135,7 +135,7 @@ def validate_forkable(sim: Simulator) -> None:
         _check_callable(
             event.action, f"pending event {event.label or '?'} @t={event.time:.3f}"
         )
-    for listener in sim.tracer._listeners:
+    for listener in sim.tracer.listeners():
         _check_callable(listener, "tracer listener")
 
 

@@ -9,7 +9,8 @@
   disabled simulation pays one attribute load per call site (the same
   discipline as :meth:`Tracer.active <repro.netsim.trace.Tracer.active>`).
   These work even when tracing is disabled or restricted.
-- **the tracer stream** — a ``Tracer.subscribe`` listener consumes the
+- **the tracer stream** — a ``Tracer.subscribe`` listener, scoped to
+  :attr:`ProtocolHealth.TRACE_CATEGORIES`, consumes the
   MHRP control-plane events (``mhrp.tunnel``, ``mhrp.loop``) already
   emitted for tests, turning them into tunnel-chain lengths and
   loop-dissolution times.  Listeners see every recorded entry even
@@ -144,6 +145,10 @@ class ProtocolHealth:
     #: Role attribute this instrument occupies on the simulator.
     instrument_role = "telemetry"
 
+    #: The only trace categories :meth:`_on_trace` reads; both the
+    #: simulator subscription and the engine ``HealthFeed`` use this set.
+    TRACE_CATEGORIES = ("mhrp.tunnel", "mhrp.loop")
+
     def bind(self, sim, nodes: Optional[list] = None, subscribe_trace: bool = True) -> None:
         """Instrument-registry hook: wire listeners into ``sim``."""
         self.sim = sim
@@ -151,7 +156,7 @@ class ProtocolHealth:
             self._nodes = list(nodes)
         self._subscribed = subscribe_trace
         if subscribe_trace:
-            sim.tracer.subscribe(self._on_trace)
+            sim.tracer.subscribe(self._on_trace, categories=self.TRACE_CATEGORIES)
             if self.index is not None:
                 self.index.attach(sim.tracer, replay=True)
 

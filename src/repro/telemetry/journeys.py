@@ -106,8 +106,8 @@ _KIND_BY_CATEGORY = {
 class JourneyIndex:
     """Builds journeys incrementally from a trace-entry stream.
 
-    Feed it through :meth:`observe` (usually via
-    ``tracer.subscribe(index.observe)``), or all at once with
+    Feed it through :meth:`observe` (usually via :meth:`attach`, which
+    subscribes it to the journey categories only), or all at once with
     :meth:`from_entries`.  Journeys are kept in first-seen order.
     """
 
@@ -138,7 +138,7 @@ class JourneyIndex:
         if replay:
             for entry in tracer.entries:
                 self.observe(entry)
-        tracer.subscribe(self.observe)
+        tracer.subscribe(self.observe, categories=(*_KIND_BY_CATEGORY, "mhrp.tunnel"))
         return self
 
     # ------------------------------------------------------------------
@@ -164,8 +164,10 @@ class JourneyIndex:
             # The packet kept moving after a tentative completion
             # (tunnel-endpoint delivery): re-open it.
             del self._completed[uid]
+        # Entries are immutable (see ``TraceEntry.__deepcopy__``), so
+        # the step shares the entry's detail instead of copying it.
         journey.steps.append(JourneyStep(
-            time=entry.time, node=entry.node, kind=kind, detail=dict(entry.detail)
+            time=entry.time, node=entry.node, kind=kind, detail=entry.detail
         ))
         if kind == "deliver" or kind == "drop":
             self._completed[uid] = None

@@ -38,10 +38,11 @@ class HealthFeed:
     - ``packet.*`` events carry the decoded packet and map onto the
       direct packet-lifecycle hooks;
     - ``health.*`` events map onto the direct telemetry feeds;
-    - everything else (``mhrp.*``, ``icmp.echo``, ``fault``) becomes a
+    - events in ``ProtocolHealth.TRACE_CATEGORIES`` become a
       :class:`TraceEntry` pushed through the tracer channel, so the
-      trace-driven analytics (tunnel chains, loop dissolution latency,
-      registration give-ups) see the identical vocabulary.
+      trace-driven analytics (tunnel chains, loop dissolution latency)
+      see the identical vocabulary; the hub reads no other category,
+      on either adapter.
     """
 
     def __init__(self, health) -> None:
@@ -80,7 +81,7 @@ class HealthFeed:
                     time, event.node, detail["mobile_host"],
                     detail["n_previous_sources"],
                 )
-        else:
+        elif category in health.TRACE_CATEGORIES:
             health._on_trace(TraceEntry(
                 time=time, category=category, node=event.node,
                 detail=dict(event.detail),
