@@ -19,7 +19,7 @@ from repro.ip.address import IPAddress, IPNetwork
 from repro.ip.checksum import internet_checksum
 from repro.ip.host import Host
 from repro.ip.node import IPNode
-from repro.ip.packet import IPPacket, Payload, RawPayload
+from repro.ip.packet import IPPacket, PacketStamp, Payload, RawPayload
 from repro.ip.rip import RIPService, enable_rip
 from repro.ip.router import Router
 from repro.ip.routing import Route, RoutingTable
@@ -30,6 +30,7 @@ __all__ = [
     "IPNetwork",
     "IPNode",
     "IPPacket",
+    "PacketStamp",
     "Payload",
     "RIPService",
     "RawPayload",

@@ -144,7 +144,7 @@ class IPNetwork:
     silently mask keeps configuration mistakes loud.
     """
 
-    __slots__ = ("_address", "_prefix_len")
+    __slots__ = ("_address", "_prefix_len", "_broadcast")
 
     def __init__(
         self,
@@ -172,6 +172,10 @@ class IPNetwork:
             )
         object.__setattr__(self, "_address", base)
         object.__setattr__(self, "_prefix_len", prefix_len)
+        # Built once: ingress compares every packet's destination with it.
+        object.__setattr__(
+            self, "_broadcast", IPAddress(base.value | ((1 << (32 - prefix_len)) - 1))
+        )
 
     @staticmethod
     def _mask_for(prefix_len: int) -> int:
@@ -217,7 +221,7 @@ class IPNetwork:
     @property
     def broadcast(self) -> IPAddress:
         """The directed broadcast address of this network."""
-        return IPAddress(self._address.value | (self.num_addresses - 1))
+        return self._broadcast
 
     def contains(self, address: Union[str, int, IPAddress]) -> bool:
         """Whether ``address`` falls within this network."""

@@ -249,7 +249,7 @@ class Dataplane:
         sim = node.sim
         self.counters.originated += 1
         if sim.trace_active("ip.send"):
-            sim.trace("ip.send", node.name, packet=repr(packet), uid=packet.uid)
+            sim.trace("ip.send", node.name, packet=packet.stamp(), uid=packet.uid)
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.packet_sent(sim.now, node.name, packet)
@@ -365,7 +365,7 @@ class Dataplane:
             counters.slow_path += 1
         sim = node.sim
         if sim.trace_active("ip.forward"):
-            sim.trace("ip.forward", node.name, packet=repr(packet), uid=packet.uid)
+            sim.trace("ip.forward", node.name, packet=packet.stamp(), uid=packet.uid)
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.packet_forwarded(sim.now, node.name, packet)
@@ -450,7 +450,7 @@ class Dataplane:
         sim = node.sim
         self.counters.delivered += 1
         if sim.trace_active("ip.deliver"):
-            sim.trace("ip.deliver", node.name, packet=repr(packet), uid=packet.uid)
+            sim.trace("ip.deliver", node.name, packet=packet.stamp(), uid=packet.uid)
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.packet_delivered(sim.now, node.name, packet)
@@ -480,7 +480,7 @@ class Dataplane:
         sim = node.sim
         if sim.trace_active("ip.drop"):
             sim.trace(
-                "ip.drop", node.name, reason=reason, packet=repr(packet), uid=packet.uid
+                "ip.drop", node.name, reason=reason, packet=packet.stamp(), uid=packet.uid
             )
         telemetry = sim.telemetry
         if telemetry is not None:

@@ -410,7 +410,7 @@ class IPNode:
                 self.name,
                 icmp_type=error.icmp_type,
                 code=error.code,
-                about=repr(quoted),
+                about=quoted.stamp(),
             )
         self.dataplane.counters.icmp_sent += 1
         self.send_icmp(quoted.src, error)

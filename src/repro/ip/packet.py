@@ -74,6 +74,75 @@ class RawPayload:
         return self.data
 
 
+class PacketStamp:
+    """The header fields a packet's text shows, captured when it is traced.
+
+    Packets change in place after they are traced (``forward`` decrements
+    the TTL, ``retunnel`` grows the previous-source list, the LSRR agents
+    append options), so a trace record holds this immutable stamp rather
+    than the packet, and formats it only when read.  ``str()`` is the
+    packet's ``repr`` text.  ``repr()`` is *that text's* ``repr``, so a
+    detail dict holding a stamp prints, serialises and fingerprints
+    exactly as it did when it held the text.
+    """
+
+    __slots__ = ("_uid", "_src", "_dst", "_protocol", "_ttl", "_length")
+
+    def __init__(
+        self,
+        uid: int,
+        src: IPAddress,
+        dst: IPAddress,
+        protocol: int,
+        ttl: int,
+        length: int,
+    ) -> None:
+        # Six slots, no inner tuple: smaller than the text it replaces.
+        self._uid = uid
+        self._src = src
+        self._dst = dst
+        self._protocol = protocol
+        self._ttl = ttl
+        self._length = length
+
+    uid = property(lambda self: self._uid)
+    src = property(lambda self: self._src)
+    dst = property(lambda self: self._dst)
+    protocol = property(lambda self: self._protocol)
+    ttl = property(lambda self: self._ttl)
+    length = property(lambda self: self._length)  # total length, bytes
+
+    def _fields(self) -> tuple:
+        return (self._uid, self._src, self._dst, self._protocol, self._ttl, self._length)
+
+    def __str__(self) -> str:
+        return (
+            f"<IPPacket #{self._uid} {self._src}->{self._dst} "
+            f"{protocol_name(self._protocol)} ttl={self._ttl} len={self._length}>"
+        )
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is PacketStamp:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    # Immutable value: copies share it, pickling rebuilds it from the fields.
+    def __copy__(self) -> "PacketStamp":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "PacketStamp":
+        return self
+
+    def __reduce__(self):
+        return (PacketStamp, self._fields())
+
+
 @dataclass(slots=True)
 class IPPacket:
     """An IPv4 packet.
@@ -198,8 +267,17 @@ class IPPacket:
             uid=self.uid,
         )
 
-    def __repr__(self) -> str:
-        return (
-            f"<IPPacket #{self.uid} {self.src}->{self.dst} "
-            f"{protocol_name(self.protocol)} ttl={self.ttl} len={self.total_length}>"
+    def stamp(self, length: Optional[int] = None) -> PacketStamp:
+        """The packet's traced fields as they are now.  A caller that has
+        just computed :attr:`total_length` passes it as ``length``."""
+        return PacketStamp(
+            self.uid,
+            self.src,
+            self.dst,
+            self.protocol,
+            self.ttl,
+            self.total_length if length is None else length,
         )
+
+    def __repr__(self) -> str:
+        return str(self.stamp())

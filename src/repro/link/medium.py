@@ -13,7 +13,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import LinkError
-from repro.link.frame import Frame, HWAddress
+from repro.link.frame import FRAME_OVERHEAD, Frame, HWAddress
 from repro.netsim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -95,13 +95,15 @@ class Medium:
         self.frames_transmitted += 1
         self.bytes_transmitted += size
         if self.sim.trace_active("link.tx"):
+            payload = frame.payload
+            stamp = getattr(payload, "stamp", None)
             self.sim.trace(
                 "link.tx",
                 sender.node_name,
                 medium=self.name,
-                frame=repr(frame.payload),
+                frame=repr(payload) if stamp is None else stamp(size - FRAME_OVERHEAD),
                 bytes=size,
-                uid=getattr(frame.payload, "uid", None),
+                uid=getattr(payload, "uid", None),
             )
         if frame.is_broadcast:
             # Coalesced fan-out: one delivery event carries the whole
@@ -202,8 +204,13 @@ class Medium:
                 )
             return
         if self.sim.trace_active("link.rx"):
+            payload = frame.payload
+            stamp = getattr(payload, "stamp", None)
             self.sim.trace(
-                "link.rx", target.node_name, medium=self.name, frame=repr(frame.payload)
+                "link.rx",
+                target.node_name,
+                medium=self.name,
+                frame=repr(payload) if stamp is None else stamp(),
             )
         target.receive_frame(frame)
 

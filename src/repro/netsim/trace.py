@@ -58,6 +58,19 @@ class TraceEntry(NamedTuple):
         return self
 
 
+def jsonable(value: Any) -> Any:
+    """The JSON form of a trace detail value: plain values as they are,
+    lists and tuples as lists, dicts with ``str`` keys, and anything else
+    (a :class:`~repro.ip.packet.PacketStamp`, say) as its ``str()``."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return str(value)
+
+
 class Tracer:
     """Collects :class:`TraceEntry` records during a simulation run.
 
@@ -164,11 +177,11 @@ class Tracer:
         entry right now.
 
         Hot-path callers guard with this *before* building the ``detail``
-        kwargs (which usually means ``repr()``-ing a packet or frame), so
-        a disabled or restricted tracer costs nothing per packet::
+        kwargs (which usually means stamping a packet or frame), so a
+        disabled or restricted tracer costs nothing per packet::
 
             if sim.trace_active("ip.forward"):
-                sim.trace("ip.forward", name, packet=repr(packet), ...)
+                sim.trace("ip.forward", name, packet=packet.stamp(), ...)
 
         The condition mirrors :meth:`record` exactly, including listener
         visibility (listeners only ever see entries that pass the
@@ -179,12 +192,27 @@ class Tracer:
         allowed = self._allowed
         return allowed is None or category in allowed
 
-    def record(self, time: float, category: str, node: str, **detail: Any) -> None:
-        """Record one entry if tracing is enabled and the category allowed."""
+    def record(
+        self,
+        time: float,
+        category: str,
+        node: str,
+        detail: Optional[dict[str, Any]] = None,
+        /,
+        **fields: Any,
+    ) -> None:
+        """Record one entry if tracing is enabled and the category allowed.
+
+        The detail is either one dict passed positionally, stored as is
+        (``Simulator.trace`` packs its kwargs once and hands them over
+        this way), or keyword ``fields``.
+        """
         if not self.enabled:
             return
         if self._allowed is not None and category not in self._allowed:
             return
+        if detail is None:
+            detail = fields
         entry = TraceEntry(time, category, node, detail)  # positional: ~40 % cheaper
         if self._max_entries is not None and len(self.entries) == self._max_entries:
             self.dropped += 1

@@ -379,6 +379,8 @@ class PartitionRuntime(ScheduleInstaller):
             digest.update(
                 f"{entry.time!r}|{entry.category}|{entry.node}|".encode()
             )
+            # A PacketStamp's repr is its text's repr, so stamps digest
+            # exactly as the text they replaced, with no per-value check.
             for key, value in entry.detail.items():
                 digest.update(f"{key}={value!r};".encode())
             digest.update(b"\n")

@@ -35,6 +35,12 @@ class JourneyStep:
     kind: str           # "send" | "forward" | "deliver" | "drop" | tunnel event name
     detail: dict = field(default_factory=dict)
 
+    # Steps are never changed once built and share their trace entry's
+    # immutable detail, so session snapshots share them as they share
+    # the entries (see ``TraceEntry.__deepcopy__``).
+    def __deepcopy__(self, memo: dict) -> "JourneyStep":
+        return self
+
 
 @dataclass
 class Journey:

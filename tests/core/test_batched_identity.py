@@ -25,7 +25,7 @@ from repro.netsim import Simulator
 from repro.scenario import ScenarioSpec, Session
 from repro.wire.conformance import conformance_specs, run_simulator_reference
 
-from tests.core.test_golden_trace import GOLDEN_PATH, scenario_trace
+from tests.core.test_golden_trace import GOLDEN_PATH, scenario_trace, trace_rows
 
 FUZZ_SEEDS = range(25)
 
@@ -40,28 +40,8 @@ def force_batched():
         Simulator.default_batched = False
 
 
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
-
-
 def trace_json(session: Session) -> str:
-    return json.dumps(
-        [
-            {
-                "time": entry.time,
-                "category": entry.category,
-                "node": entry.node,
-                "detail": _jsonable(entry.detail),
-            }
-            for entry in session.sim.tracer
-        ]
-    )
+    return json.dumps(trace_rows(session.sim.tracer))
 
 
 def fuzzed_campus_spec(seed: int) -> ScenarioSpec:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.netsim.trace import jsonable
+
 GOLDEN_PATH = Path(__file__).parent / "golden" / "figure1_trace.json"
 
 
@@ -59,27 +61,21 @@ def run_figure1_scenario():
     return sim
 
 
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
-
-
-def scenario_trace() -> list:
-    sim = run_figure1_scenario()
+def trace_rows(entries) -> list:
+    """Trace entries in the golden file's JSON form."""
     return [
         {
             "time": entry.time,
             "category": entry.category,
             "node": entry.node,
-            "detail": _jsonable(entry.detail),
+            "detail": jsonable(entry.detail),
         }
-        for entry in sim.tracer
+        for entry in entries
     ]
+
+
+def scenario_trace() -> list:
+    return trace_rows(run_figure1_scenario().tracer)
 
 
 def test_figure1_trace_matches_golden():

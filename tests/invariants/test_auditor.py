@@ -205,8 +205,8 @@ class TestGoldenTraceByteIdentity:
 
         from tests.core.test_golden_trace import (
             GOLDEN_PATH,
-            _jsonable,
             _reset_global_counters,
+            trace_rows,
         )
         from repro.workloads.topology import build_figure1
 
@@ -230,15 +230,7 @@ class TestGoldenTraceByteIdentity:
         sim.run(until=38.0)
         s.ping(m.home_address)
         sim.run(until=42.0)
-        current = [
-            {
-                "time": entry.time,
-                "category": entry.category,
-                "node": entry.node,
-                "detail": _jsonable(entry.detail),
-            }
-            for entry in sim.tracer
-        ]
+        current = trace_rows(sim.tracer)
         golden = json.loads(GOLDEN_PATH.read_text())
         assert current == golden
         assert auditor.ok, auditor.render()

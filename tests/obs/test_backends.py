@@ -75,8 +75,8 @@ class TestAttachedNeutrality:
         golden trace must stay byte-identical with the plane attached."""
         from tests.core.test_golden_trace import (
             GOLDEN_PATH,
-            _jsonable,
             _reset_global_counters,
+            trace_rows,
         )
         from repro.workloads.topology import build_figure1
 
@@ -101,15 +101,7 @@ class TestAttachedNeutrality:
         s.ping(m.home_address)
         sim.run(until=42.0)
 
-        current = [
-            {
-                "time": entry.time,
-                "category": entry.category,
-                "node": entry.node,
-                "detail": _jsonable(entry.detail),
-            }
-            for entry in sim.tracer
-        ]
+        current = trace_rows(sim.tracer)
         golden = json.loads(GOLDEN_PATH.read_text())
         assert current == golden
         assert len(obs.spans) > 0  # the plane really was listening

@@ -15,31 +15,12 @@ from repro.scenario.session import (
     reset_global_counters,
     restore_global_counters,
 )
-
-
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+from tests.core.test_golden_trace import trace_rows
 
 
 def trace_json(session: Session) -> str:
     """The session's full trace, serialized — the byte-identity witness."""
-    return json.dumps(
-        [
-            {
-                "time": entry.time,
-                "category": entry.category,
-                "node": entry.node,
-                "detail": _jsonable(entry.detail),
-            }
-            for entry in session.sim.tracer
-        ]
-    )
+    return json.dumps(trace_rows(session.sim.tracer))
 
 
 def cold_run(spec: ScenarioSpec) -> Session:

@@ -1,10 +1,13 @@
 """How many listener calls one trace record costs, counted on the
-Figure-1 walkthrough — a machine-independent gate on the fan-out.
+Figure-1 walkthrough — a machine-independent gate on the fan-out and
+on the per-record work (packet formatting, detail dicts).
 
 The health hub subscribes to ``ProtocolHealth.TRACE_CATEGORIES`` and its
 journey index to the journey categories; if either is re-widened to
 every category, these counts move and the test fails."""
 
+from repro.ip.packet import IPPacket, PacketStamp
+from repro.netsim.trace import Tracer
 from repro.telemetry.health import ProtocolHealth
 from repro.telemetry.journeys import JourneyIndex
 from repro.workloads.topology import build_figure1, drive_figure1
@@ -76,3 +79,30 @@ def test_streamed_index_equals_post_hoc_index():
     for uid in post_hoc.uids():
         assert hub.index.journey(uid) == post_hoc.journey(uid), uid
         assert hub.index.is_complete(uid) == post_hoc.is_complete(uid), uid
+
+
+def test_detached_walkthrough_formats_no_packet_and_packs_one_dict_per_record(
+    monkeypatch,
+):
+    """Trace records stamp packets instead of formatting them, and the
+    dict ``Simulator.trace`` packs is the one the entry stores."""
+    reprs = []
+    original_repr = IPPacket.__repr__
+    monkeypatch.setattr(
+        IPPacket, "__repr__", lambda self: reprs.append(self) or original_repr(self)
+    )
+    passed = []
+    original_record = Tracer.record
+
+    def record(self, time, category, node, detail=None, /, **fields):
+        passed.append(detail)
+        original_record(self, time, category, node, detail, **fields)
+
+    monkeypatch.setattr(Tracer, "record", record)
+    topo = build_figure1(seed=42)
+    drive_figure1(topo)
+    entries = list(topo.sim.tracer.entries)
+    assert reprs == []
+    assert any(isinstance(e.detail.get("packet"), PacketStamp) for e in entries)
+    assert len(passed) == len(entries)
+    assert all(e.detail is detail for e, detail in zip(entries, passed))
