@@ -112,7 +112,7 @@ class IPAddress:
 
     # -- comparisons / hashing -------------------------------------------
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPAddress):
+        if other.__class__ is IPAddress or isinstance(other, IPAddress):
             return self._value == other._value
         if isinstance(other, (str, int)):
             try:

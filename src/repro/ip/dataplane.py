@@ -45,7 +45,7 @@ from repro.errors import RoutingError
 from repro.ip import icmp as icmp_mod
 from repro.ip.address import IPAddress
 from repro.ip.packet import IPPacket
-from repro.link.frame import ETHERTYPE_IP
+from repro.link.frame import ETHERTYPE_IP, FRAME_OVERHEAD
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ip.node import IPNode
@@ -57,6 +57,7 @@ CONSUMED = object()
 
 #: The IPv4 limited broadcast address.
 LIMITED_BROADCAST = IPAddress("255.255.255.255")
+_LIMITED_BROADCAST_VALUE = LIMITED_BROADCAST.value
 
 #: The pipeline's stage names, in traversal order.
 STAGES = (
@@ -291,8 +292,9 @@ class Dataplane:
         node = self.node
         self.counters.rx += 1
         dst = packet.dst
-        if dst == LIMITED_BROADCAST or (
-            iface is not None and dst == iface.network.broadcast
+        value = dst._value
+        if value == _LIMITED_BROADCAST_VALUE or (
+            iface is not None and value == iface.network._broadcast._value
         ):
             self.local_delivery(packet, iface)
             return
@@ -361,20 +363,25 @@ class Dataplane:
         packet.ttl -= 1
         counters = self.counters
         counters.forwarded += 1
-        if packet.has_options:
+        if packet.options:
             counters.slow_path += 1
         sim = node.sim
+        # The one length this hop computes: the stamp, the MTU check and
+        # the frame size all reuse it.
+        length = packet.total_length
         if sim.trace_active("ip.forward"):
-            sim.trace("ip.forward", node.name, packet=packet.stamp(), uid=packet.uid)
+            sim.trace("ip.forward", node.name, packet=packet.stamp(length), uid=packet.uid)
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.packet_forwarded(sim.now, node.name, packet)
         auditor = sim.auditor
         if auditor is not None:
             auditor.packet_forwarded(sim.now, node.name, packet)
-        self.route(packet, transit=True)
+        self.route(packet, transit=True, length=length)
 
-    def route(self, packet: IPPacket, transit: bool) -> None:
+    def route(
+        self, packet: IPPacket, transit: bool, length: Optional[int] = None
+    ) -> None:
         node = self.node
         route = node.routing_table.lookup(packet.dst)
         if route is None:
@@ -397,17 +404,21 @@ class Dataplane:
             # returned-home mobile host) means local delivery.
             self.local_delivery(packet, iface)
             return
-        self.arp_resolve(iface, next_hop, packet)
+        self.arp_resolve(iface, next_hop, packet, length)
 
     # ------------------------------------------------------------------
     # Stage: arp-resolve
     # ------------------------------------------------------------------
     def arp_resolve(
-        self, iface: "NetworkInterface", next_hop: IPAddress, packet: IPPacket
+        self,
+        iface: "NetworkInterface",
+        next_hop: IPAddress,
+        packet: IPPacket,
+        length: Optional[int] = None,
     ) -> None:
         hw = self.node.arp[iface.name].resolve(next_hop, packet)
         if hw is not None:
-            self.egress(iface, hw, packet)
+            self.egress(iface, hw, packet, length)
         # A None result means the packet is queued inside the ARP
         # service; resolution (or failure) re-enters the pipeline via
         # the node's ARP callbacks.
@@ -416,7 +427,11 @@ class Dataplane:
     # Stage: egress
     # ------------------------------------------------------------------
     def egress(
-        self, iface: "NetworkInterface", hw: "HWAddress", packet: IPPacket
+        self,
+        iface: "NetworkInterface",
+        hw: "HWAddress",
+        packet: IPPacket,
+        length: Optional[int] = None,
     ) -> None:
         """Final transmit step: enforce the outgoing medium's MTU.
 
@@ -424,10 +439,15 @@ class Dataplane:
         discipline): an oversize packet is dropped and answered with
         ICMP "fragmentation needed".  Tunneling grows packets, so this
         is where the tunnel-overhead-vs-MTU interaction bites.
+
+        ``length`` is the packet's total length when the caller has just
+        computed it (:meth:`forward`); otherwise it is computed here.
         """
+        if length is None:
+            length = packet.total_length
         node = self.node
         medium = iface.medium
-        if medium is not None and packet.total_length > medium.mtu:
+        if medium is not None and length > medium.mtu:
             self.drop(packet, "mtu-exceeded")
             node._send_error(
                 icmp_mod.ICMPError.unreachable(
@@ -438,7 +458,7 @@ class Dataplane:
             )
             return
         self.counters.tx += 1
-        iface.send_to(hw, ETHERTYPE_IP, packet)
+        iface.send_to(hw, ETHERTYPE_IP, packet, length + FRAME_OVERHEAD)
 
     # ------------------------------------------------------------------
     # Stage: local-delivery

@@ -183,10 +183,16 @@ class IPNode:
         return {iface.ip_address for iface in self.interfaces.values()}
 
     def has_address(self, address: IPAddress) -> bool:
-        return any(
-            iface.ip_address == address or address in iface.alias_addresses
-            for iface in self.interfaces.values()
-        )
+        # Ingress asks this for every packet: compare raw values, and
+        # hash into an alias set only when there is one.
+        value = address._value
+        for iface in self.interfaces.values():
+            if iface.ip_address._value == value:
+                return True
+            aliases = iface.alias_addresses
+            if aliases and address in aliases:
+                return True
+        return False
 
     def interface_for_address(self, address: IPAddress) -> Optional[NetworkInterface]:
         for iface in self.interfaces.values():

@@ -174,8 +174,10 @@ class IPPacket:
     )
 
     def __post_init__(self) -> None:
-        self.src = IPAddress(self.src)
-        self.dst = IPAddress(self.dst)
+        if self.src.__class__ is not IPAddress:
+            self.src = IPAddress(self.src)
+        if self.dst.__class__ is not IPAddress:
+            self.dst = IPAddress(self.dst)
         if not 0 <= self.protocol <= 255:
             raise PacketError(f"protocol number out of range: {self.protocol}")
         if not 0 <= self.ttl <= 255:
@@ -199,10 +201,6 @@ class IPPacket:
         if not self.options:
             return BASE_HEADER_LEN + self.payload.byte_length
         return self.header_length + self.payload.byte_length
-
-    @property
-    def has_options(self) -> bool:
-        return bool(self.options)
 
     def find_lsrr(self) -> Optional[LSRROption]:
         """The packet's LSRR option, if present (memoized single scan).

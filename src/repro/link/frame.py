@@ -26,7 +26,9 @@ class HWAddress:
     protocols require.
     """
 
-    __slots__ = ("_value",)
+    # The hash is computed once: media and ARP look addresses up in dicts
+    # on every frame.
+    __slots__ = ("_value", "_hash")
 
     BROADCAST_VALUE = (1 << 48) - 1
 
@@ -34,6 +36,7 @@ class HWAddress:
         if not 0 <= value < (1 << 48):
             raise ValueError(f"hardware address out of range: {value!r}")
         self._value = value
+        self._hash = hash(("HWAddress", value))
 
     @classmethod
     def allocate(cls) -> "HWAddress":
@@ -42,7 +45,8 @@ class HWAddress:
 
     @classmethod
     def broadcast(cls) -> "HWAddress":
-        return cls(cls.BROADCAST_VALUE)
+        """The all-ones address: one shared instance."""
+        return _BROADCAST
 
     @property
     def is_broadcast(self) -> bool:
@@ -60,6 +64,11 @@ class HWAddress:
     def __deepcopy__(self, memo: dict) -> "HWAddress":
         return self
 
+    # Pickle the value only: the cached hash is per-process (str hashing
+    # is salted), and packets cross partition-worker boundaries pickled.
+    def __reduce__(self):
+        return (HWAddress, (self._value,))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HWAddress) and self._value == other._value
 
@@ -69,7 +78,7 @@ class HWAddress:
         return self._value < other._value
 
     def __hash__(self) -> int:
-        return hash(("HWAddress", self._value))
+        return self._hash
 
     def __str__(self) -> str:
         octets = self._value.to_bytes(6, "big")
@@ -77,6 +86,9 @@ class HWAddress:
 
     def __repr__(self) -> str:
         return f"HWAddress({str(self)!r})"
+
+
+_BROADCAST = HWAddress(HWAddress.BROADCAST_VALUE)
 
 
 @dataclass(slots=True)

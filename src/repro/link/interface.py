@@ -71,12 +71,13 @@ class NetworkInterface:
     # ------------------------------------------------------------------
     # I/O
     # ------------------------------------------------------------------
-    def send_frame(self, frame: Frame) -> None:
+    def send_frame(self, frame: Frame, size: Optional[int] = None) -> None:
         """Transmit a frame if the interface is up and attached.
 
         A down or detached interface silently drops outbound frames, the
         same as real hardware; callers relying on delivery must use
-        acknowledgement at a higher layer.
+        acknowledgement at a higher layer.  ``size`` is the frame's
+        :attr:`~Frame.byte_length` when the caller already knows it.
         """
         if not self.up or self.medium is None:
             sim = self.node.sim
@@ -87,11 +88,20 @@ class NetworkInterface:
             if auditor is not None:
                 auditor.frame_lost(sim.now, self.node_name, frame.payload, "iface-down")
             return
-        self.medium.transmit(self, frame)
+        self.medium.transmit(self, frame, size)
 
-    def send_to(self, dst_hw: HWAddress, ethertype: int, payload: object) -> None:
+    def send_to(
+        self,
+        dst_hw: HWAddress,
+        ethertype: int,
+        payload: object,
+        size: Optional[int] = None,
+    ) -> None:
         """Convenience: build and transmit a frame to ``dst_hw``."""
-        self.send_frame(Frame(src=self.hw_address, dst=dst_hw, ethertype=ethertype, payload=payload))
+        self.send_frame(
+            Frame(src=self.hw_address, dst=dst_hw, ethertype=ethertype, payload=payload),
+            size,
+        )
 
     def receive_frame(self, frame: Frame) -> None:
         """Called by the medium when a frame arrives for this interface."""

@@ -156,7 +156,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
-        return self.clock.now
+        return self.clock._now  # the slot, not the property: one call, not two
 
     @property
     def events_processed(self) -> int:
@@ -209,7 +209,7 @@ class Simulator:
 
     def trace(self, category: str, node: str, **detail: Any) -> None:
         """Record a trace entry stamped with the current time."""
-        self.tracer.record(self.clock.now, category, node, detail)
+        self.tracer.record(self.clock._now, category, node, detail)
 
     def trace_active(self, category: str) -> bool:
         """Whether a :meth:`trace` call for ``category`` would record.

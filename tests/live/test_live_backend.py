@@ -120,7 +120,17 @@ class TestLoopbackSmoke:
             "live", (event for _, event in run.events), health=health
         )
         report = check_spec(run.spec, candidate=candidate)
-        assert report.ok, report.render()
+        # The run is on the wall clock: say how far the virtual clock fell
+        # behind, so a loaded machine reads differently from a protocol
+        # divergence.
+        clock = (
+            f"clock: drift_warnings={run.drift_warnings} "
+            f"runtime_samples={run.runtime_samples} "
+            f"drift_virtual={run.clock.drift_virtual:.3f}s "
+            f"max_drift_virtual={run.clock.max_drift_virtual:.3f}s "
+            f"(speed={run.speed:g}x)"
+        )
+        assert report.ok, f"{report.render()}\n{clock}"
 
     def test_health_counts_match_the_walkthrough(self, finished):
         _, health = finished
