@@ -70,8 +70,9 @@ class IPAddress:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IPAddress is immutable")
 
-    # Immutable values are shared, not duplicated, by copy/deepcopy
-    # (session snapshots deepcopy whole object graphs through here).
+    # Immutable values are shared, not duplicated, by copy/deepcopy;
+    # session snapshots share them by reference too (``SHARED_TYPES``
+    # in :mod:`repro.scenario.session`).
     def __copy__(self) -> "IPAddress":
         return self
 
@@ -186,7 +187,8 @@ class IPNetwork:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IPNetwork is immutable")
 
-    # Shared, not duplicated, by copy/deepcopy (immutable value type).
+    # Shared, not duplicated, by copy/deepcopy and by session snapshots
+    # (immutable value type).
     def __copy__(self) -> "IPNetwork":
         return self
 

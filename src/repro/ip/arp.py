@@ -143,7 +143,7 @@ class ARPService:
         """JSON-able cache + proxy state for the snapshot/diff contract.
 
         In-flight resolutions hold queued packets and timers (callables);
-        those ride the session deepcopy and appear here only as a count.
+        those ride the session snapshot and appear here only as a count.
         """
         return {
             "cache": {

@@ -56,8 +56,8 @@ class HWAddress:
     def value(self) -> int:
         return self._value
 
-    # Value type: shared, not duplicated, by copy/deepcopy (session
-    # snapshots deepcopy whole object graphs through here).
+    # Value type: shared, not duplicated, by copy/deepcopy and by
+    # session snapshots (``SHARED_TYPES`` in :mod:`repro.scenario.session`).
     def __copy__(self) -> "HWAddress":
         return self
 

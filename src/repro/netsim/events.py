@@ -345,7 +345,7 @@ class EventQueue:
 
     def state_dict(self) -> dict:
         """JSON-able *diagnostic* state: the queue's counters, never its
-        callables.  Pending events ride a deepcopy of the whole graph in
+        callables.  Pending events ride the pickle of the whole graph in
         session snapshots (see :mod:`repro.scenario.session`); this dict
         exists so restored-vs-cold runs can be diffed field by field.
         """
@@ -360,7 +360,7 @@ class EventQueue:
     def load_state(self, state: dict) -> None:
         """Restore the queue's counters from :meth:`state_dict`.
 
-        The heap itself (callables) rides the session deepcopy and is
+        The heap itself (callables) rides the session snapshot and is
         intentionally untouched; what this restores is the bookkeeping
         that is *not* derivable from the heap — the sequence counter and
         the cancelled-pending estimate that drives compaction.  Before

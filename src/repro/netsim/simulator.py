@@ -542,7 +542,7 @@ class Simulator:
         round-trips through plain lists), so two simulators with equal
         state dicts draw identical future random sequences.  Pending
         events are *not* here — they hold callables and ride the session
-        deepcopy; the queue contributes its diagnostic counters only.
+        snapshot; the queue contributes its diagnostic counters only.
         """
         version, internal, gauss = self.rng.getstate()
         return {

@@ -52,8 +52,9 @@ class TraceEntry(NamedTuple):
         return f"[{self.time:10.6f}] {self.category:<14} {self.node:<12} {parts}"
 
     # Entries are immutable once recorded (nothing may mutate ``detail``
-    # after the fact), so session snapshots share rather than duplicate
-    # them — copying the full history would dominate fork cost.
+    # after the fact), so copies and session snapshots share rather than
+    # duplicate them (``SHARED_TYPES`` in :mod:`repro.scenario.session`)
+    # — copying the full history would dominate fork cost.
     def __deepcopy__(self, memo: dict) -> "TraceEntry":
         return self
 
@@ -269,7 +270,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-able configuration + counters (entries excluded: they are
-        carried by the session snapshot's deepcopy, and diff tests compare
+        carried by the session snapshot's pickle, and diff tests compare
         them separately as serialized traces)."""
         return {
             "enabled": self.enabled,

@@ -8,16 +8,22 @@ and forks it — each fork resumes from the shared checkpoint with its own
 tail, skipping the warm-up entirely while remaining byte-identical to a
 cold run of the same spec.
 
-Snapshots are a :func:`copy.deepcopy` of the whole session object graph.
-That is only sound because every scheduled callable in the library is a
-bound method, a :func:`functools.partial` over bound methods, or a plain
-module-level function: ``deepcopy`` remaps all of those onto the copied
-graph through its memo.  Lambdas and closures are the one hazard — they
-are copied *by reference*, so a closure captured over the old world
-would silently keep mutating it from inside the fork.
-:func:`validate_forkable` therefore walks every pending event (and trace
-listener) at snapshot time and rejects the snapshot loudly if any such
-callable is found.
+A snapshot is the session pickled once; a fork is one unpickle of that
+blob.  Instances of the immutable value types named in
+:data:`SHARED_TYPES` (trace entries, journey steps, packet stamps,
+addresses, routes, cache and visitor records) are not pickled by value:
+the pickler puts each one in a list and writes its index, and every fork
+resolves those indices to the very same objects.  Everything else is
+rebuilt by the C unpickler, so each fork owns its mutable state and
+shares only values nothing can change.
+
+Every scheduled callable in the library is a bound method, a
+:func:`functools.partial` over bound methods, or a plain module-level
+function, and all of those pickle.  Lambdas and closures do not:
+:func:`validate_forkable` walks every pending event (and trace listener)
+at snapshot time and names the offending callable, and anything else in
+the session that cannot be pickled fails the snapshot with a
+:class:`~repro.errors.SnapshotError` naming its type.
 
 Determinism of the restored runs rests on three mechanisms:
 
@@ -29,17 +35,18 @@ Determinism of the restored runs rests on three mechanisms:
    uids, hardware addresses, registration sequence numbers) are reset
    when a session is built and restored to their checkpoint values when
    a snapshot is forked.
-3. **Engine state capture** — clock, RNG, and tracer ride the deepcopy;
+3. **Engine state capture** — clock, RNG, and tracer ride the pickle;
    :meth:`Session.state_dict` exposes all of it for field-by-field
    diffing in the determinism tests.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import inspect
+import io
 import itertools
+import sys
 from typing import Dict, List, Optional
 
 from repro.errors import SnapshotError
@@ -114,19 +121,18 @@ def _check_callable(fn: object, where: str) -> None:
     elif inspect.isfunction(fn):
         func = fn
     else:
-        # Callable instances (e.g. workload objects) deepcopy fine.
+        # Callable instances (e.g. workload objects) pickle fine.
         return
     if func.__name__ == "<lambda>" or func.__closure__ is not None:
         raise SnapshotError(
             f"{where} holds {func.__qualname__!r}, a lambda/closure; "
-            f"deepcopy shares those by reference, so a fork would keep "
-            f"mutating the original world.  Use a bound method or "
-            f"functools.partial instead."
+            f"those cannot be pickled, so the session cannot be forked.  "
+            f"Use a bound method or functools.partial instead."
         )
 
 
 def validate_forkable(sim: Simulator) -> None:
-    """Reject the snapshot if any pending callable would not deepcopy.
+    """Reject the snapshot if any pending callable would not pickle.
 
     Walks the live events in the queue and the tracer's listeners; see
     the module docstring for why lambdas and closures are fatal here.
@@ -160,7 +166,7 @@ class ScheduleInstaller:
     :meth:`_home_address`), what a move does, and how flows bind their
     endpoints; :class:`repro.wire.driver.ScheduleActions` is the engine
     actuator.  Every scheduled callable is a :func:`functools.partial`
-    over a bound method: deepcopy-safe by construction.
+    over a bound method: picklable by construction.
     """
 
     sim: Simulator
@@ -411,14 +417,92 @@ class Session(ScheduleInstaller):
         }
 
 
+# ----------------------------------------------------------------------
+# Pickling with shared immutable values
+# ----------------------------------------------------------------------
+#: (module, class) of every immutable value type a fork shares with its
+#: snapshot by reference instead of copying — exactly the classes whose
+#: ``__deepcopy__`` returns ``self``.  Named, not imported, so importing
+#: this module loads none of them.
+SHARED_TYPES = (
+    ("repro.netsim.trace", "TraceEntry"),
+    ("repro.telemetry.journeys", "JourneyStep"),
+    ("repro.ip.packet", "PacketStamp"),
+    ("repro.ip.address", "IPAddress"),
+    ("repro.ip.address", "IPNetwork"),
+    ("repro.link.frame", "HWAddress"),
+    ("repro.ip.routing", "Route"),
+    ("repro.wire.roles", "AgentAdvertisementInfo"),
+    ("repro.wire.roles", "CacheEntry"),
+    ("repro.wire.roles", "VisitorRecord"),
+)
+
+
+def _loaded_shared_types() -> frozenset:
+    """The :data:`SHARED_TYPES` classes whose modules are loaded; a class
+    whose module was never imported has no instances to share."""
+    return frozenset(
+        getattr(sys.modules[module_name], name)
+        for module_name, name in SHARED_TYPES
+        if module_name in sys.modules
+    )
+
+
+def _share_by_reference(shared: list):
+    """A pickler ``persistent_id`` that writes each instance of a shared
+    type as its index in ``shared`` (a fork's ``persistent_load`` is
+    ``shared.__getitem__``, so every fork gets the same objects back)."""
+    types = _loaded_shared_types()
+
+    def persistent_id(obj):
+        if type(obj) in types:
+            shared.append(obj)
+            return len(shared) - 1
+        return None
+
+    return persistent_id
+
+
+def _unpicklable(session: "Session") -> str:
+    """Name what stopped ``session`` from pickling: re-pickle it with the
+    pure-Python pickler, which exposes the object being saved when it
+    fails, and report that object's type and its nearest non-container
+    owner."""
+    import pickle
+
+    path: list = []
+
+    class _Tracking(pickle._Pickler):
+        def save(self, obj, save_persistent_id=True):
+            path.append(obj)
+            super().save(obj, save_persistent_id)
+            path.pop()
+
+    try:
+        _Tracking(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(session)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        pass
+    if not path:
+        return "an object"
+    culprit = path[-1]
+    name = getattr(culprit, "__qualname__", None)
+    text = f"a {type(culprit).__qualname__}" + (f" ({name!r})" if name else "")
+    containers = (dict, list, tuple, set, frozenset, functools.partial)
+    owners = [o for o in path[:-1] if not isinstance(o, containers)]
+    if owners:
+        text += f" held by a {type(owners[-1]).__qualname__}"
+    return text
+
+
 class Snapshot:
     """A frozen session at its checkpoint, forkable any number of times.
 
     The constructor validates forkability, captures the global ID
-    counters, and deepcopies the session.  Each :meth:`fork` deepcopies
-    the frozen copy again (the original stays pristine) and rewinds the
-    global counters, so every fork continues from the checkpoint exactly
-    as the original would have.
+    counters, and pickles the session once, setting the instances of
+    :data:`SHARED_TYPES` aside by reference.  Each :meth:`fork` unpickles
+    that blob (the original session is never touched again) and rewinds
+    the global counters, so every fork continues from the checkpoint
+    exactly as the original would have.
     """
 
     def __init__(self, session: Session) -> None:
@@ -428,7 +512,22 @@ class Snapshot:
         #: Events the warm-up executed — what each fork saves.
         self.warmup_events = session.sim.events_processed
         self._counters = capture_global_counters()
-        self._frozen = copy.deepcopy(session)
+        # Imported here, not at module level: runs that never fork (every
+        # backend run imports this module) should not pay for pickle.
+        import pickle
+
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        self._shared: list = []
+        pickler.persistent_id = _share_by_reference(self._shared)
+        try:
+            pickler.dump(session)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SnapshotError(
+                f"the session cannot be forked: {_unpicklable(session)} "
+                f"cannot be pickled ({exc})"
+            ) from exc
+        self._blob = buffer.getvalue()
 
     def fork(self, spec: Optional[ScenarioSpec] = None) -> Session:
         """A fresh session resumed at the checkpoint.
@@ -443,7 +542,11 @@ class Snapshot:
                 f"snapshot was taken at {self.prefix_hash[:12]}; "
                 f"it cannot resume from this checkpoint"
             )
-        session = copy.deepcopy(self._frozen)
+        import pickle
+
+        unpickler = pickle.Unpickler(io.BytesIO(self._blob))
+        unpickler.persistent_load = self._shared.__getitem__
+        session = unpickler.load()
         restore_global_counters(self._counters)
         if spec is not None:
             session.spec = spec

@@ -36,8 +36,9 @@ class JourneyStep:
     detail: dict = field(default_factory=dict)
 
     # Steps are never changed once built and share their trace entry's
-    # immutable detail, so session snapshots share them as they share
-    # the entries (see ``TraceEntry.__deepcopy__``).
+    # immutable detail, so copies and session snapshots share them as
+    # they share the entries (``SHARED_TYPES`` in
+    # :mod:`repro.scenario.session`).
     def __deepcopy__(self, memo: dict) -> "JourneyStep":
         return self
 

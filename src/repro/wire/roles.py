@@ -188,8 +188,8 @@ class SimRolePort:
     # Keyed one-shot timers with engine ``timer_fired`` semantics: the
     # callback is popped before it runs, so a handler re-arming its own
     # key behaves identically on both substrates.  Callbacks must be
-    # bound methods or partials of bound methods (snapshot/fork requires
-    # every scheduled callable to survive a deepcopy of the graph).
+    # bound methods or partials of bound methods (snapshot/fork pickles
+    # the graph, and lambdas and closures do not pickle).
     def set_timer(self, key: str, delay: float, callback: Callable[[], None]) -> None:
         self._callbacks[key] = callback
         timer = self._timers.get(key)

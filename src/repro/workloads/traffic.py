@@ -207,8 +207,8 @@ class PoissonStream(CBRStream):
 
 
 class _UDPEcho:
-    """Echo handler as a deepcopy-safe callable (a closure would keep
-    referencing the pre-fork socket after a session fork)."""
+    """Echo handler as a picklable callable (a closure cannot be
+    pickled, so it would make the session unforkable)."""
 
     def __init__(self, sock) -> None:
         self.sock = sock
