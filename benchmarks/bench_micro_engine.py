@@ -76,11 +76,11 @@ def test_routing_lookup(benchmark):
             IPNetwork((10 << 24) | (i << 16), 16),
             IPAddress("192.168.0.1"), "eth0",
         )
-    table.add_host_route(IPAddress("10.50.0.99"), IPAddress("192.168.0.2"), "eth0")
+    table.add_next_hop(IPNetwork("10.50.0.99/32"), IPAddress("192.168.0.2"), "eth0")
     probe = IPAddress("10.50.0.99")
 
     def run():
         return table.lookup(probe)
 
     route = benchmark(run)
-    assert route.is_host_route
+    assert route.network.prefix_len == 32

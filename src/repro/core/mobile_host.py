@@ -41,7 +41,7 @@ from typing import Optional
 from repro.core.cache_agent import CacheAgent
 from repro.core.discovery import AgentDiscovery
 from repro.core.home_agent import DISCONNECTED_ADDRESS  # noqa: F401  (re-exported)
-from repro.core.registration import next_seq
+from repro.core.registration import SeqAllocator
 from repro.ip.address import IPAddress, IPNetwork
 from repro.ip.host import Host
 from repro.ip.packet import IPPacket
@@ -99,7 +99,7 @@ class MobileHost(MobileHostRole, Host):
             self.WIFI, self.home_address, self.home_network
         )
         self._init_mobile_state(SimRolePort.of(self))
-        self._next_seq = next_seq
+        self.next_seq = SeqAllocator()
         self.registrar = ReliableRegistrar(self)
         self.discovery = AgentDiscovery(self, self._on_agent_heard)
         self.cache_agent: Optional[CacheAgent] = (

@@ -49,6 +49,11 @@ REG_MESSAGE_LEN = 18
 REG_RETRY_INTERVAL = 1.0
 REG_MAX_RETRIES = 5
 
+#: Registration sequence numbers are 16 bits on the wire and wrap.
+SEQ_MODULUS = 1 << 16
+
+#: The shared counter behind :func:`next_seq`, which maps it through
+#: :func:`wrap16`, so it stays a plain, capturable ``itertools.count``.
 _seq_counter = itertools.count(1)
 
 
@@ -122,22 +127,59 @@ class RegistrationMessage:
         )
 
 
+def wrap16(n: int) -> int:
+    """The ``n``-th (from 1) value of a 16-bit identifier that wraps and
+    skips zero (it means "unstamped"): 1, ..., 65 535, 1, ... — the rule
+    of registration sequence numbers and the IP identification field."""
+    return (n - 1) % (SEQ_MODULUS - 1) + 1
+
+
+class SeqAllocator:
+    """A picklable :func:`wrap16` allocator; ``last`` is the number it
+    handed out last (0: none yet).
+
+    Each mobile host owns one for its registrations: its consecutive
+    messages then differ by one, and :func:`seq_before` orders them
+    however many numbers the rest of the world allocates in between.
+    ``last`` travels in the host's ``state_dict``, so a host that
+    migrates between partitions keeps counting where it left off.  The
+    engines' IP identification allocators are ``SeqAllocator`` objects too."""
+
+    __slots__ = ("last",)
+
+    def __init__(self, last: int = 0) -> None:
+        self.last = last
+
+    def __call__(self) -> int:
+        self.last = wrap16(self.last + 1)
+        return self.last
+
+
 def next_seq() -> int:
-    return next(_seq_counter)
+    """The next number from the counter shared by the agents that are
+    not mobile hosts (home-agent replication, the comparison protocols)."""
+    return wrap16(next(_seq_counter))
+
+
+def seq_before(a: int, b: int) -> bool:
+    """RFC 1982 serial-number order on 16 bits: ``a`` was allocated
+    before ``b``, across the wrap."""
+    return a != b and (b - a) % SEQ_MODULUS < SEQ_MODULUS // 2
 
 
 class StaleControlFilter:
     """Per-mobile-host registration sequence high-water mark.
 
-    A mobile host allocates ``seq`` monotonically, so of two control
-    messages from the same host the larger sequence number is always
-    the more recent decision.  Retransmission and agent crashes can
-    deliver them out of order: the ``fa-disconnect`` of move *k* kept
-    alive by :class:`ReliableRegistrar` while the old agent was down
-    can arrive *after* the ``fa-connect`` of move *k+1* — and naively
-    processing it de-registers a perfectly fresh visitor (worse, the
-    bogus departure stamp then suppresses the Section 5.2 recovery for
-    a whole departure-grace window).  Agents consult this filter and
+    A mobile host allocates ``seq`` monotonically modulo 2**16, so of two
+    control messages from the same host the later one in serial-number
+    order (:func:`seq_before`) is always the more recent decision.
+    Retransmission and agent crashes can deliver them out of order: the
+    ``fa-disconnect`` of move *k* kept alive by
+    :class:`ReliableRegistrar` while the old agent was down can arrive
+    *after* the ``fa-connect`` of move *k+1* — and naively processing it
+    de-registers a perfectly fresh visitor (worse, the bogus departure
+    stamp then suppresses the Section 5.2 recovery for a whole
+    departure-grace window).  Agents consult this filter and
     ignore — but still acknowledge, so the sender stops retrying —
     any message strictly older than the newest already processed.
     """
@@ -152,8 +194,8 @@ class StaleControlFilter:
         Equal sequence numbers are *not* stale: they are retransmissions
         of the message we just processed (the handlers are idempotent).
         """
-        latest = self._high_water.get(message.mobile_host, 0)
-        if message.seq < latest:
+        latest = self._high_water.get(message.mobile_host)
+        if latest is not None and seq_before(message.seq, latest):
             return True
         self._high_water[message.mobile_host] = message.seq
         return False

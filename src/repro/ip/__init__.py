@@ -10,7 +10,6 @@ Implements, from scratch, everything the MHRP paper assumes of IP:
   update message type (:mod:`.icmp`),
 - ARP with proxy and gratuitous ARP (:mod:`.arp`),
 - routing tables with host-specific routes (:mod:`.routing`),
-- a RIP-style distance-vector IGP with triggered updates (:mod:`.rip`),
 - forwarding nodes: :class:`~repro.ip.node.IPNode`,
   :class:`~repro.ip.router.Router`, :class:`~repro.ip.host.Host`.
 """
@@ -20,7 +19,6 @@ from repro.ip.checksum import internet_checksum
 from repro.ip.host import Host
 from repro.ip.node import IPNode
 from repro.ip.packet import IPPacket, PacketStamp, Payload, RawPayload
-from repro.ip.rip import RIPService, enable_rip
 from repro.ip.router import Router
 from repro.ip.routing import Route, RoutingTable
 
@@ -32,11 +30,9 @@ __all__ = [
     "IPPacket",
     "PacketStamp",
     "Payload",
-    "RIPService",
     "RawPayload",
     "Route",
     "Router",
     "RoutingTable",
-    "enable_rip",
     "internet_checksum",
 ]

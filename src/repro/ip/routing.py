@@ -1,22 +1,19 @@
-"""Routing tables with longest-prefix match and host-specific routes.
+"""Routing tables with longest-prefix match.
 
 The table supports exactly what the reproduced protocols need:
 
 - connected routes (deliver on-link via ARP),
-- next-hop routes to remote prefixes,
-- /32 host-specific routes, which MHRP's routing-domain variant
-  (Section 3, last paragraphs) injects and withdraws as mobile hosts move,
+- next-hop routes to remote prefixes (a /32 is a host route),
 - a default route.
 
 Lookup is longest-prefix-first, so a host route always beats a network
-route which always beats the default — the property the paper's
-host-specific-route mechanism depends on.
+route which always beats the default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import RoutingError
 from repro.ip.address import IPAddress, IPNetwork
@@ -35,17 +32,10 @@ class Route:
     interface_name: str
     next_hop: Optional[IPAddress] = None
     metric: int = 1
-    #: Free-form tag so protocols can withdraw exactly their own routes
-    #: (e.g. "mhrp-host-route").
-    tag: str = ""
 
     @property
     def is_connected(self) -> bool:
         return self.next_hop is None
-
-    @property
-    def is_host_route(self) -> bool:
-        return self.network.prefix_len == 32
 
     def __str__(self) -> str:
         via = "connected" if self.is_connected else f"via {self.next_hop}"
@@ -125,7 +115,6 @@ class RoutingTable:
         next_hop: IPAddress,
         interface_name: str,
         metric: int = 1,
-        tag: str = "",
     ) -> None:
         self.add(
             Route(
@@ -133,25 +122,6 @@ class RoutingTable:
                 interface_name=interface_name,
                 next_hop=next_hop,
                 metric=metric,
-                tag=tag,
-            )
-        )
-
-    def add_host_route(
-        self,
-        host: IPAddress,
-        next_hop: Optional[IPAddress],
-        interface_name: str,
-        tag: str = "",
-    ) -> None:
-        """Install a /32 route for one host (paper §3, routing-domain variant)."""
-        network = IPNetwork(host.value, 32)
-        self.add(
-            Route(
-                network=network,
-                interface_name=interface_name,
-                next_hop=next_hop,
-                tag=tag,
             )
         )
 
@@ -172,23 +142,6 @@ class RoutingTable:
         removed = bucket.pop(network, None) is not None
         if not bucket:
             del self._by_prefix[network.prefix_len]
-        if removed:
-            self._invalidate()
-        return removed
-
-    def remove_host_route(self, host: IPAddress) -> bool:
-        return self.remove(IPNetwork(host.value, 32))
-
-    def remove_tagged(self, tag: str) -> int:
-        """Withdraw every route carrying ``tag``; returns the count removed."""
-        removed = 0
-        for prefix_len in list(self._by_prefix):
-            bucket = self._by_prefix[prefix_len]
-            for network in [n for n, r in bucket.items() if r.tag == tag]:
-                del bucket[network]
-                removed += 1
-            if not bucket:
-                del self._by_prefix[prefix_len]
         if removed:
             self._invalidate()
         return removed
@@ -237,9 +190,6 @@ class RoutingTable:
             out.extend(self._by_prefix[prefix_len].values())
         return out
 
-    def host_routes(self) -> List[Route]:
-        return [r for r in self.routes() if r.is_host_route]
-
     # ------------------------------------------------------------------
     # Snapshot contract
     # ------------------------------------------------------------------
@@ -252,7 +202,6 @@ class RoutingTable:
                     "interface": r.interface_name,
                     "next_hop": str(r.next_hop) if r.next_hop is not None else None,
                     "metric": r.metric,
-                    "tag": r.tag,
                 }
                 for r in self.routes()
             ]
@@ -269,7 +218,6 @@ class RoutingTable:
                     interface_name=entry["interface"],
                     next_hop=IPAddress(next_hop) if next_hop is not None else None,
                     metric=entry["metric"],
-                    tag=entry["tag"],
                 )
             )
 

@@ -1,6 +1,5 @@
 """Measurement and reporting utilities for the benchmark harness."""
 
-from repro.metrics.journey import Journey, JourneyIndex, journey_of, journeys_matching
 from repro.metrics.netstat import (
     netstat_json,
     node_counters,
@@ -12,12 +11,8 @@ from repro.metrics.report import Table, fmt_float
 from repro.metrics.stats import mean, mean_ci, percentile, stdev, summarize
 
 __all__ = [
-    "Journey",
-    "JourneyIndex",
     "Table",
     "fmt_float",
-    "journey_of",
-    "journeys_matching",
     "mean",
     "mean_ci",
     "netstat_json",

@@ -13,14 +13,12 @@ Typical use::
     sim.run(until=10.0)
 """
 
-from repro.netsim.chaos import ChaosMonkey
 from repro.netsim.clock import SimClock
 from repro.netsim.events import Event, EventQueue
 from repro.netsim.simulator import Simulator, Timer
 from repro.netsim.trace import TraceEntry, Tracer
 
 __all__ = [
-    "ChaosMonkey",
     "Event",
     "EventQueue",
     "SimClock",

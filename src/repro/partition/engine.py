@@ -163,8 +163,25 @@ class _ParallelPartition:
         child.close()
         self._next: Optional[float] = None
 
+    def _died(self) -> SimulationError:
+        """The error for a worker that went away without a word."""
+        self._proc.join(timeout=5)
+        return SimulationError(
+            f"partition {self.index} worker died "
+            f"(exit code {self._proc.exitcode})"
+        )
+
+    def _send(self, msg: tuple) -> None:
+        try:
+            self._conn.send(msg)
+        except OSError:
+            raise self._died() from None
+
     def _recv(self, expect: str) -> tuple:
-        msg = self._conn.recv()
+        try:
+            msg = self._conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
         if msg[0] == "error":
             raise SimulationError(
                 f"partition {self.index} worker failed:\n{msg[1]}"
@@ -182,13 +199,13 @@ class _ParallelPartition:
         return self._next
 
     def run_async(self, barrier: float, inclusive: bool, deliveries) -> None:
-        self._conn.send(("window", barrier, inclusive, deliveries))
+        self._send(("window", barrier, inclusive, deliveries))
 
     def collect(self) -> tuple:
         return self._recv("ok")[1:]
 
     def finish_async(self, horizon: float, deliveries) -> None:
-        self._conn.send(("finish", horizon, deliveries))
+        self._send(("finish", horizon, deliveries))
 
     def collect_result(self) -> tuple:
         return self._recv("result")[1:]
@@ -300,20 +317,22 @@ def run_partitioned(spec: ScenarioSpec, workers: int = 0) -> PartitionedResult:
     horizon = spec.horizon
     started = time.perf_counter()
 
-    if workers:
-        if spec.topology.get("load"):
-            optional_numpy()  # the load model's: import once, before the forks
-        backends: List = [_ParallelPartition(spec, i) for i in range(n)]
-        for backend in backends:
-            backend.wait_ready()
-    else:
-        backends = [_SerialPartition(spec, model, i) for i in range(n)]
-
     pending: Dict[int, List[Tuple[float, str, bytes]]] = {i: [] for i in range(n)}
-    nexts: List[Optional[float]] = [b.initial_next_time() for b in backends]
     windows = delivered_total = dropped_total = 0
+    backends: List = []
 
     try:
+        if workers:
+            if spec.topology.get("load"):
+                optional_numpy()  # the load model's: import once, before the forks
+            for i in range(n):
+                backends.append(_ParallelPartition(spec, i))
+            for backend in backends:
+                backend.wait_ready()
+        else:
+            backends = [_SerialPartition(spec, model, i) for i in range(n)]
+        nexts: List[Optional[float]] = [b.initial_next_time() for b in backends]
+
         if mode == "window":
             t = 0.0
             while t < horizon:

@@ -5,8 +5,9 @@ across every tunneling transform; the tracer records that uid on every
 send, forward, delivery, drop, and tunnel event.  A
 :class:`JourneyIndex` subscribed to the tracer stitches those into
 :class:`Journey` objects *incrementally* — one dict lookup and one
-append per entry — instead of rescanning the whole trace per uid the
-way the original ``metrics.journey`` helpers did.
+append per entry — instead of rescanning the whole trace per uid;
+:meth:`JourneyIndex.from_entries` builds the same index after the run
+in one pass over a recorded trace.
 
 Memory is bounded: a journey is marked complete when its packet is
 delivered or dropped, and once more than ``max_completed`` completed

@@ -18,9 +18,9 @@ FLAG_ACK = 0x10
 class UDPDatagram:
     """A UDP datagram (RFC 768): 8-byte header plus data.
 
-    ``data`` is normally raw bytes; structured control payloads (e.g.
-    RIP updates) may ride as objects implementing ``byte_length`` /
-    ``to_bytes`` and are serialized transparently.
+    ``data`` is normally raw bytes; structured payloads may ride as
+    objects implementing ``byte_length`` / ``to_bytes`` and are
+    serialized transparently.
     """
 
     src_port: int

@@ -33,7 +33,6 @@ an ICMP echo probe instead of an ARP request (see
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -42,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.encapsulation import MHRPPayload
 from repro.core.header import DEFAULT_MAX_PREVIOUS_SOURCES
 from repro.core.persistence import LocationStore
+from repro.core.registration import SeqAllocator
 from repro.errors import PacketError, RegistrationError
 from repro.ip.address import IPAddress, IPNetwork
 
@@ -190,7 +190,7 @@ class NodeEngine:
         self.up = True
         self.now = 0.0
         self.rng = rng or random.Random(0)
-        self._ident = ident_allocator or _wrapping_counter()
+        self._ident = ident_allocator or SeqAllocator()
         self.interfaces: Dict[str, EngineInterface] = {}
         self.routing_table = RoutingTable()
         self.counters: Dict[str, int] = {
@@ -560,18 +560,6 @@ class NodeEngine:
         return f"<NodeEngine {self.name} {'up' if self.up else 'down'}>"
 
 
-def _wrapping_counter(start: int = 1) -> Callable[[], int]:
-    """A 16-bit wrapping allocator for the IP identification field (zero
-    is skipped: it means "unstamped")."""
-    counter = itertools.count(start)
-
-    def alloc() -> int:
-        value = next(counter) & 0xFFFF
-        return value if value else next(counter) & 0xFFFF
-
-    return alloc
-
-
 # ----------------------------------------------------------------------
 # Role engines — the repro.wire.roles roles over an EngineRolePort
 # ----------------------------------------------------------------------
@@ -666,7 +654,6 @@ class MobileHostEngine(MobileHostRole, NodeEngine):
         home_agent: IPAddress | str,
         home_gateway: IPAddress | str | None = None,
         use_sender_cache: bool = True,
-        seq_allocator: Optional[Callable[[], int]] = None,
         **kwargs,
     ) -> None:
         super().__init__(name, forwarding=False, **kwargs)
@@ -681,7 +668,7 @@ class MobileHostEngine(MobileHostRole, NodeEngine):
         )
         self.iface = self.add_interface(self.WIFI, self.home_address, self.home_network)
         self._init_mobile_state(EngineRolePort.of(self))
-        self._next_seq = seq_allocator or itertools.count(1).__next__
+        self.next_seq = SeqAllocator()
         self.registrar = Registrar(self.port, self)
         self.cache_agent: Optional[CacheAgentEngine] = (
             CacheAgentEngine(self) if use_sender_cache else None
@@ -765,6 +752,7 @@ class _MobileHostRoleState:
             "moves": h.moves,
             "registrations": h.registrations,
             "silence_disconnects": h.silence_disconnects,
+            "seq": h.next_seq.last,
         }
 
     def load_state(self, state: dict) -> None:
@@ -786,6 +774,7 @@ class _MobileHostRoleState:
         h.moves = int(state["moves"])
         h.registrations = int(state["registrations"])
         h.silence_disconnects = int(state["silence_disconnects"])
+        h.next_seq.last = int(state["seq"])
 
 
 class CorrespondentEngine(NodeEngine):
@@ -1013,15 +1002,11 @@ class EngineWorld:
         self.nodes: Dict[str, NodeEngine] = {}
         #: medium name -> list of (node name, iface name) attachments.
         self.media: Dict[str, List[Tuple[str, str]]] = {}
-        self._ident = _wrapping_counter()
-        self._seq = itertools.count(1)
+        self._ident = SeqAllocator()
 
     # -- allocators shared by every node ---------------------------------
     def ident_allocator(self) -> Callable[[], int]:
         return self._ident
-
-    def seq_allocator(self) -> Callable[[], int]:
-        return self._seq.__next__
 
     def node_rng(self, name: str) -> random.Random:
         """A per-node rng derived deterministically from the world seed

@@ -49,7 +49,6 @@ from repro.core.registration import (
     REG_RETRY_INTERVAL,
     RegistrationMessage,
     StaleControlFilter,
-    next_seq,
 )
 from repro.errors import RegistrationError
 from repro.ip.address import IPAddress
@@ -955,9 +954,17 @@ class CacheAgentRole:
             foreign_agent=str(message.foreign_agent),
             purge=message.purge,
         )
+        self._apply_update(message)
+
+    def _apply_update(self, message: LocationUpdate) -> None:
         if message.clears_entry:
             self.cache.delete(message.mobile_host)
-        else:
+        elif not self.node.has_address(message.foreign_agent):
+            # An update naming this node carries nothing a cache can use
+            # (neither hook tunnels to ourselves); caching it would only
+            # overwrite the forwarding pointer a fresher fa-disconnect
+            # installed, and the home agent, whose database still names
+            # us, would then tunnel our retunnelled packets straight back.
             self.learn(message.mobile_host, message.foreign_agent)
 
     # ------------------------------------------------------------------
@@ -994,11 +1001,7 @@ class CacheAgentRole:
             and packet.protocol == PROTO_ICMP
             and isinstance(packet.payload, LocationUpdate)
         ):
-            message = packet.payload
-            if message.clears_entry:
-                self.cache.delete(message.mobile_host)
-            else:
-                self.learn(message.mobile_host, message.foreign_agent)
+            self._apply_update(packet.payload)
             return None  # keep forwarding the update itself
         if is_control_traffic(packet.protocol, packet.payload):
             return None  # the control traffic itself is never tunneled
@@ -1821,7 +1824,7 @@ class MobileHostRole:
     def _init_mobile_state(self, port) -> None:
         """Initialize the protocol-state attributes shared by both
         substrates (the concrete ctor sets home addresses, the interface,
-        the registrar and ``_next_seq`` itself)."""
+        the registrar and the ``next_seq`` allocator itself)."""
         self.port = port
         self.state = DISCONNECTED
         self.current_foreign_agent: Optional[IPAddress] = None
@@ -1960,7 +1963,7 @@ class MobileHostRole:
         self._set_away_routing(agent)
         message = RegistrationMessage(
             kind=FA_CONNECT,
-            seq=self._next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.home_address,
             agent=agent,
             hw_value=self._wifi_hw_value(),
@@ -2011,7 +2014,7 @@ class MobileHostRole:
     def _register_with_home_agent(self, foreign_agent: IPAddress) -> None:
         message = RegistrationMessage(
             kind=HA_REGISTER,
-            seq=self._next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.home_address,
             agent=foreign_agent,
         )
@@ -2020,7 +2023,7 @@ class MobileHostRole:
     def _notify_old_foreign_agent(self, old_fa: IPAddress, new_agent: IPAddress) -> None:
         message = RegistrationMessage(
             kind=FA_DISCONNECT,
-            seq=self._next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.home_address,
             agent=new_agent,
         )
@@ -2126,6 +2129,7 @@ class MobileHostRole:
             "moves": self.moves,
             "registrations": self.registrations,
             "silence_disconnects": self.silence_disconnects,
+            "seq": self.next_seq.last,
             "limiter": self.limiter.state_dict(),
             "registrar": self.registrar.state_dict(),
         }
@@ -2150,6 +2154,7 @@ class MobileHostRole:
         self.moves = int(state["moves"])
         self.registrations = int(state["registrations"])
         self.silence_disconnects = int(state["silence_disconnects"])
+        self.next_seq.last = int(state["seq"])
         self.limiter.load_state(state["limiter"])
 
 

@@ -83,7 +83,6 @@ def _bind_node(world: EngineWorld, plan: NodePlan) -> NodeEngine:
             home_network=plan.home_network,
             home_agent=plan.home_agent,
             use_sender_cache=plan.cache,
-            seq_allocator=world.seq_allocator(),
             **shared,
         )
     else:

@@ -6,7 +6,6 @@ Figure 1 internetwork exactly; the parameterized builders scale the same
 shape up for the scalability experiments.
 """
 
-from repro.workloads.geo import CellSite, GeoWalker
 from repro.workloads.mobility import (
     PingPongMobility,
     RandomWaypointMobility,
@@ -29,8 +28,6 @@ from repro.workloads.traffic import (
 __all__ = [
     "CBRStream",
     "CampusTopology",
-    "CellSite",
-    "GeoWalker",
     "Figure1Topology",
     "LoopRun",
     "PingPongMobility",

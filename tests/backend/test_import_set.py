@@ -42,7 +42,6 @@ EXPECTED = {
     "repro.ip.options",
     "repro.ip.packet",
     "repro.ip.protocols",
-    "repro.ip.rip",
     "repro.ip.router",
     "repro.ip.routing",
     "repro.link",
@@ -50,7 +49,6 @@ EXPECTED = {
     "repro.link.interface",
     "repro.link.medium",
     "repro.netsim",
-    "repro.netsim.chaos",
     "repro.netsim.clock",
     "repro.netsim.events",
     "repro.netsim.simulator",
@@ -60,16 +58,11 @@ EXPECTED = {
     "repro.scenario.session",
     "repro.scenario.spec",
     "repro.scenario.world",
-    "repro.transport",
-    "repro.transport.segments",
-    "repro.transport.tcp",
-    "repro.transport.udp",
     "repro.wire",
     "repro.wire.codec",
     "repro.wire.logic",
     "repro.wire.roles",
     "repro.workloads",
-    "repro.workloads.geo",
     "repro.workloads.loops",
     "repro.workloads.mobility",
     "repro.workloads.topology",

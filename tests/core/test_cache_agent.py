@@ -178,6 +178,19 @@ class TestCacheAgentUpdates:
         sim.run_until_idle()
         assert MH not in agent.cache
 
+    def test_update_naming_this_node_keeps_the_forwarding_pointer(
+        self, two_hosts_one_lan
+    ):
+        """A home agent whose database still names a foreign agent that
+        the host just left updates that agent with its own address; the
+        pointer the host's fa-disconnect installed must survive it."""
+        sim, lan, a, b, net = two_hosts_one_lan
+        agent = CacheAgent(a)
+        agent.learn(MH, FA)
+        send_location_update(b, net.host(1), MH, net.host(1))
+        sim.run_until_idle()
+        assert agent.cache.peek(MH) == FA
+
     def test_update_ignored_by_non_mhrp_host(self, two_hosts_one_lan):
         """Backwards compatibility (Section 4.3): hosts without MHRP
         silently discard the unknown ICMP type."""
@@ -193,6 +206,14 @@ class TestCacheAgentUpdates:
         sim, a, r, b, net_a, net_b = two_lans_one_router
         agent = CacheAgent(r, examine_forwarded=True)
         send_location_update(b, net_a.host(1), MH, FA)
+        sim.run_until_idle()
+        assert agent.cache.peek(MH) == FA
+
+    def test_snooping_router_ignores_updates_naming_itself(self, two_lans_one_router):
+        sim, a, r, b, net_a, net_b = two_lans_one_router
+        agent = CacheAgent(r, examine_forwarded=True)
+        agent.learn(MH, FA)
+        send_location_update(b, net_a.host(1), MH, r.primary_address)
         sim.run_until_idle()
         assert agent.cache.peek(MH) == FA
 

@@ -1,87 +1,106 @@
 """Chaos testing: random foreign-agent crashes under live traffic.
 
 The targeted robustness tests (E5/E6) exercise specific failure
-sequences; here a :class:`ChaosMonkey` generates arbitrary crash/reboot
-interleavings of the foreign agents while hosts roam and traffic flows,
-and the protocol's self-healing must keep the system consistent and
-mostly available.
+sequences; here a seeded draw writes arbitrary crash/reboot
+interleavings of the foreign agents into a campus
+:class:`~repro.scenario.spec.ScenarioSpec` — the same ``faults``
+vocabulary the scenario fuzzer generates — while hosts roam and traffic
+flows, and the protocol's self-healing must keep the system consistent
+and mostly available.
 """
+
+import random
 
 import pytest
 
-from repro.netsim import Simulator
-from repro.netsim.chaos import ChaosMonkey
-from repro.workloads import CBRStream, RandomWaypointMobility, build_campus
+from repro.ip.protocols import UDP
+from repro.scenario import ScenarioSpec, Session
+
+N_CELLS = N_HOSTS = 3
+CHAOS_START, CHAOS_STOP = 10.0, 150.0
+MTBF, MTTR = 40.0, 4.0
+FINAL_PINGS_AT = 220.0
 
 
-class TestChaosMonkeyUnit:
-    def test_faults_are_injected_and_repaired(self):
-        sim = Simulator(seed=4)
-        from repro.ip import Router, IPNetwork
-        from repro.link import LAN
-
-        lan = LAN(sim, "l")
-        victim = Router(sim, "V")
-        victim.add_interface("eth0", "10.0.0.1", IPNetwork("10.0.0.0/24"), medium=lan)
-        monkey = ChaosMonkey(sim, [victim], mtbf=5.0, mttr=1.0, stop_at=60.0)
-        monkey.start()
-        sim.run(until=100.0)
-        assert monkey.faults
-        assert all(f.rebooted_at is not None for f in monkey.faults)
-        assert monkey.total_downtime > 0
-        assert victim.up  # repaired after the window
-
-    def test_parameters_validated(self):
-        sim = Simulator(seed=4)
-        with pytest.raises(ValueError):
-            ChaosMonkey(sim, [], mtbf=0, mttr=1)
+def chaos_spec(seed: int) -> ScenarioSpec:
+    """Waypoint roaming (mean dwell 20 s), one CBR flow per host, and
+    exponential crash/repair schedules on every cell router."""
+    rng = random.Random(f"campus-chaos-{seed}")
+    moves = []
+    for host in range(N_HOSTS):
+        cell = host % N_CELLS
+        moves.append({"t": 0.0, "host": host, "to": cell})
+        t = 5.0 + host
+        while t < CHAOS_STOP:
+            cell = rng.choice([c for c in range(N_CELLS) if c != cell])
+            moves.append({"t": round(t, 3), "host": host, "to": cell})
+            t += rng.expovariate(1.0 / 20.0)
+    faults = []
+    for index in range(N_CELLS):
+        t = CHAOS_START
+        while True:
+            t += rng.expovariate(1.0 / MTBF)
+            if t >= CHAOS_STOP:
+                break
+            up = t + rng.expovariate(1.0 / MTTR)
+            faults.append({"t": round(t, 3), "node": f"FR{index}", "kind": "crash"})
+            faults.append({"t": round(up, 3), "node": f"FR{index}", "kind": "reboot"})
+            t = up
+    flows = [
+        {"start": 8.0, "src": 0, "host": host, "interval": 1.0, "count": 200,
+         "port": 41000 + host}
+        for host in range(N_HOSTS)
+    ]
+    pings = [{"t": FINAL_PINGS_AT, "src": 0, "host": host} for host in range(N_HOSTS)]
+    return ScenarioSpec(
+        name=f"campus-chaos-{seed}",
+        seed=seed,
+        topology={
+            "kind": "campus", "n_cells": N_CELLS, "n_mobile_hosts": N_HOSTS,
+            "n_correspondents": 1, "advertise": True,
+        },
+        horizon=FINAL_PINGS_AT + 15.0,
+        moves=sorted(moves, key=lambda m: m["t"]),
+        faults=sorted(faults, key=lambda f: f["t"]),
+        flows=flows,
+        pings=pings,
+    )
 
 
 @pytest.mark.parametrize("seed", [5, 99])
 def test_campus_survives_fa_chaos(seed):
-    topo = build_campus(
-        n_cells=3, n_mobile_hosts=3, n_correspondents=1,
-        sim=Simulator(seed=seed), advertise=True,
-    )
-    sim = topo.sim
-    sim.tracer.restrict({"mhrp.loop"})
-    correspondent = topo.correspondents[0]
-    streams = []
-    for index, host in enumerate(topo.mobile_hosts):
-        host.attach(topo.cells[index % len(topo.cells)])
-        RandomWaypointMobility(
-            host, topo.cells, mean_dwell=20.0, start_at=5.0 + index, stop_at=150.0
-        ).start()
-        stream = CBRStream(
-            sender=correspondent, receiver=host, dst_address=host.home_address,
-            interval=1.0, port=41000 + index, start_at=8.0,
-        )
-        stream.start()
-        streams.append(stream)
-    monkey = ChaosMonkey(
-        sim, topo.cell_routers, mtbf=40.0, mttr=4.0, start_at=10.0, stop_at=150.0
-    )
-    monkey.start()
-    sim.run(until=220.0)
+    spec = chaos_spec(seed)
+    session = Session(spec)
+    sim, world = session.sim, session.world
+    sim.tracer.restrict({"mhrp.loop", "ip.deliver"})
+    replies = []
+    world.correspondents[0].on_icmp(0, lambda p, m: replies.append(m))
+    session.install_tail()
 
-    # Some chaos actually happened.
-    assert monkey.faults
+    # Some chaos actually happened: the first crash takes its router down.
+    crash, reboot = next(
+        (f, r) for f in spec.faults if f["kind"] == "crash"
+        for r in spec.faults if r["node"] == f["node"] and r["t"] > f["t"]
+    )
+    session.run(until=(crash["t"] + reboot["t"]) / 2)
+    assert not world.fault_nodes[crash["node"]].up
+    session.run(until=FINAL_PINGS_AT - 0.5)
+
     # No routing loops formed despite arbitrary crash interleavings.
     assert sim.tracer.count("mhrp.loop") == 0
     # Availability: losses are bounded by the injected downtime windows.
-    total_sent = sum(s.sent for s in streams)
-    total_got = sum(s.log.count for s in streams)
-    assert total_got / total_sent > 0.6
-    # Self-healing: after the chaos window, every host is deliverable.
-    final = []
-    correspondent.on_icmp(0, lambda p, m: final.append(m))
-    for host in topo.mobile_hosts:
-        correspondent.ping(host.home_address)
-    sim.run(until=sim.now + 15.0)
-    assert len(final) == len(topo.mobile_hosts)
+    # Every flow has sent its whole count by now.
+    hosts = {host.name for host in world.mobile_hosts}
+    delivered = {
+        e.detail["uid"] for e in sim.tracer.entries
+        if e.category == "ip.deliver" and e.node in hosts
+        and e.detail["packet"].protocol == UDP
+    }
+    assert len(delivered) / sum(flow["count"] for flow in spec.flows) > 0.6
+    # Self-healing: after the chaos window, every host answers a ping.
+    session.run()
+    assert len(replies) == N_HOSTS
     # And the location database agrees with reality for every host.
-    for host in topo.mobile_hosts:
-        recorded = topo.home_roles.home_agent.database.foreign_agent_of(
-            host.home_address
-        )
-        assert recorded == host.current_foreign_agent
+    database = world.home_roles.home_agent.database
+    for host in world.mobile_hosts:
+        assert database.foreign_agent_of(host.home_address) == host.current_foreign_agent

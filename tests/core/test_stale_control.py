@@ -22,7 +22,6 @@ from repro.core.registration import (
     HA_REGISTER,
     RegistrationMessage,
     StaleControlFilter,
-    next_seq,
 )
 from repro.ip.address import IPAddress
 from repro.ip.packet import IPPacket, RawPayload
@@ -162,7 +161,7 @@ class TestHomeAgentStaleHandling:
         topo = figure1_m_at_r4
         ha = topo.r2_roles.home_agent
         msg = RegistrationMessage(
-            kind=HA_REGISTER, seq=next_seq(), mobile_host=topo.m.home_address,
+            kind=HA_REGISTER, seq=topo.m.next_seq(), mobile_host=topo.m.home_address,
             agent=topo.fa5_address,
         )
         packet = IPPacket(src=topo.m.home_address, dst=ha.address,

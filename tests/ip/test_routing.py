@@ -40,7 +40,7 @@ class TestLookup:
             RoutingTable().require(IPAddress("1.2.3.4"))
 
     def test_host_route_beats_network_route(self, table):
-        table.add_host_route(IPAddress("10.2.0.9"), IPAddress("10.1.0.200"), "eth0")
+        table.add_next_hop(IPNetwork("10.2.0.9/32"), IPAddress("10.1.0.200"), "eth0")
         assert table.lookup(IPAddress("10.2.0.9")).next_hop == "10.1.0.200"
         assert table.lookup(IPAddress("10.2.0.10")).next_hop == "10.1.0.254"
 
@@ -74,16 +74,9 @@ class TestMutation:
 
     def test_remove_host_route(self, table):
         host = IPAddress("10.2.0.9")
-        table.add_host_route(host, IPAddress("10.1.0.200"), "eth0")
-        assert table.remove_host_route(host)
+        table.add_next_hop(IPNetwork("10.2.0.9/32"), IPAddress("10.1.0.200"), "eth0")
+        assert table.remove(IPNetwork("10.2.0.9/32"))
         assert table.lookup(host).next_hop == "10.1.0.254"
-
-    def test_remove_tagged(self, table):
-        table.add_host_route(IPAddress("7.0.0.1"), IPAddress("10.1.0.9"), "eth0", tag="mhrp")
-        table.add_host_route(IPAddress("7.0.0.2"), IPAddress("10.1.0.9"), "eth0", tag="mhrp")
-        table.add_host_route(IPAddress("7.0.0.3"), IPAddress("10.1.0.9"), "eth0", tag="other")
-        assert table.remove_tagged("mhrp") == 2
-        assert table.lookup(IPAddress("7.0.0.3")).is_host_route
 
     def test_clear_and_len(self, table):
         assert len(table) == 3
@@ -93,13 +86,9 @@ class TestMutation:
 
 class TestIntrospection:
     def test_routes_sorted_longest_first(self, table):
-        table.add_host_route(IPAddress("1.1.1.1"), IPAddress("10.1.0.254"), "eth0")
+        table.add_next_hop(IPNetwork("1.1.1.1/32"), IPAddress("10.1.0.254"), "eth0")
         prefixes = [r.network.prefix_len for r in table.routes()]
         assert prefixes == sorted(prefixes, reverse=True)
-
-    def test_host_routes_filter(self, table):
-        table.add_host_route(IPAddress("1.1.1.1"), IPAddress("10.1.0.254"), "eth0")
-        assert len(table.host_routes()) == 1
 
     def test_str_contains_routes(self, table):
         text = str(table)
@@ -120,22 +109,15 @@ class TestLookupCache:
     def test_add_invalidates(self, table):
         dst = IPAddress("10.2.0.9")
         assert table.lookup(dst).next_hop == "10.1.0.254"
-        table.add_host_route(dst, IPAddress("10.1.0.7"), "eth0")
+        table.add_next_hop(IPNetwork("10.2.0.9/32"), IPAddress("10.1.0.7"), "eth0")
         assert table.lookup(dst).next_hop == "10.1.0.7"
 
     def test_remove_invalidates(self, table):
         dst = IPAddress("10.2.0.9")
-        table.add_host_route(dst, IPAddress("10.1.0.7"), "eth0")
-        assert table.lookup(dst).is_host_route
-        table.remove_host_route(dst)
+        table.add_next_hop(IPNetwork("10.2.0.9/32"), IPAddress("10.1.0.7"), "eth0")
+        assert table.lookup(dst).network.prefix_len == 32
+        table.remove(IPNetwork("10.2.0.9/32"))
         assert table.lookup(dst).next_hop == "10.1.0.254"
-
-    def test_remove_tagged_invalidates(self, table):
-        dst = IPAddress("7.0.0.1")
-        table.add_host_route(dst, IPAddress("10.1.0.9"), "eth0", tag="mhrp")
-        assert table.lookup(dst).is_host_route
-        table.remove_tagged("mhrp")
-        assert not table.lookup(dst).is_host_route  # falls to the default
 
     def test_negative_result_cached_and_invalidated(self):
         t = RoutingTable()
@@ -178,7 +160,6 @@ class TestMemoChurnEquivalence:
                     interface_name=route.interface_name,
                     next_hop=route.next_hop,
                     metric=route.metric,
-                    tag=route.tag,
                 )
             )
         oracle._lookup_cache.clear()
@@ -211,6 +192,7 @@ class TestMemoChurnEquivalence:
 
         rng = random.Random("routing-memo-churn")
         table = RoutingTable()
+        hosts = []
         for step in range(600):
             op = rng.random()
             if op < 0.25:
@@ -226,13 +208,12 @@ class TestMemoChurnEquivalence:
             elif op < 0.35:
                 table.remove(rng.choice(self.NETS))
             elif op < 0.45:
-                host = IPAddress((10 << 24) | (5 << 16) | rng.randrange(256))
-                table.add_host_route(
-                    host, IPAddress(rng.randrange(1, 2**32)), "e0",
-                    tag="mhrp" if rng.random() < 0.5 else None,
-                )
-            elif op < 0.50:
-                table.remove_tagged("mhrp")
+                host = IPNetwork((10 << 24) | (5 << 16) | rng.randrange(256), 32)
+                table.add_next_hop(host, IPAddress(rng.randrange(1, 2**32)), "e0")
+                hosts.append(host)
+            elif op < 0.50 and hosts:
+                # Withdraw a host route (possibly one already withdrawn).
+                table.remove(hosts.pop(rng.randrange(len(hosts))))
             # Several lookups per step so repeats hit the memo (both
             # positive entries and cached misses).
             for _ in range(3):

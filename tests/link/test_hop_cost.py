@@ -92,7 +92,9 @@ def test_shared_rx_stamp_equals_a_fresh_stamp_at_delivery(monkeypatch, scenario_
             stamper = getattr(payload, "stamp", None)
             fresh = repr(payload) if stamper is None else stamper()
             assert stamp == fresh, (self.name, target.node_name)
-            shared.append(payload)
+            # Packets change in place after delivery (a foreign agent
+            # decapsulates), so note the protocol as the frame arrives.
+            shared.append((payload, getattr(payload, "protocol", None)))
         original_deliver(self, target, frame, stamp)
 
     monkeypatch.setattr(Medium, "_deliver", deliver)
@@ -107,10 +109,10 @@ def test_shared_rx_stamp_equals_a_fresh_stamp_at_delivery(monkeypatch, scenario_
             scenario.send_packet()
             scenario.settle(3.0)
     assert scenario.stats.packets_delivered > 0
-    packets = [p for p in shared if isinstance(p, IPPacket)]
+    packets = [p for p, _ in shared if isinstance(p, IPPacket)]
     assert packets, "no unicast IP frame shared its stamp"
     if scenario_cls is MHRPScenario:
-        assert any(p.protocol == MHRP for p in packets)
+        assert any(protocol == MHRP for _, protocol in shared)
     if scenario_cls in (SunshinePostelScenario, IBMLSRRScenario):
         assert any(p.find_lsrr() is not None for p in packets)
 

@@ -1,11 +1,15 @@
-"""Tests for packet-journey reconstruction — and, through it, direct
-assertions about MHRP's routing paths on the Figure 1 topology."""
+"""Tests for post-hoc packet-journey reconstruction — and, through it,
+direct assertions about MHRP's routing paths on the Figure 1 topology.
+
+Journeys are rebuilt after the run with
+:meth:`~repro.telemetry.journeys.JourneyIndex.from_entries`, in one
+pass over the recorded trace."""
 
 import pytest
 
 from repro.ip.packet import IPPacket, RawPayload
 from repro.ip.protocols import UDP
-from repro.metrics import journey_of, journeys_matching
+from repro.telemetry.journeys import JourneyIndex
 from repro.workloads import build_figure1
 
 
@@ -15,6 +19,16 @@ def topo():
     t.m.attach(t.net_d)
     t.sim.run(until=5.0)
     return t
+
+
+def journey_of(sim, uid):
+    journey = JourneyIndex.from_entries(sim.tracer.entries).journey(uid)
+    assert journey is not None, f"uid {uid} left no journey in the trace"
+    return journey
+
+
+def journeys_matching(sim, predicate):
+    return JourneyIndex.from_entries(sim.tracer.entries).matching(predicate)
 
 
 def send_probe(topo):

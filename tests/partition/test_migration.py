@@ -50,6 +50,22 @@ class TestStateDictWireFormat:
         visitor.load_state(pickle.loads(pickle.dumps(role_state)))
         assert visitor.state_dict() == role_state
 
+    def test_a_migrated_host_keeps_counting_sequence_numbers(self):
+        """Every partition resets the process-global counters, so a
+        visitor that drew its registration numbers from them would start
+        below the home agent's high-water mark and be ignored as stale."""
+        spec = partition_handoff_spec()
+        model = HierarchyModel.from_spec(spec)
+        src = PartitionRuntime(spec, model=model, index=0)
+        src.sim.run(until=3.5)
+        blob = next(e for e in src.drain_outbox() if e[2] == "migrate")[3]
+        role_state = pickle.loads(blob)["role"]
+        assert role_state["seq"] == src._materialized[0].next_seq.last > 0
+        dst = PartitionRuntime(spec, model=model, index=1)
+        visitor = dst._make_visitor(0)
+        visitor.load_state(role_state)
+        assert visitor.next_seq() == role_state["seq"] + 1
+
     def test_arrival_materializes_and_attaches(self):
         spec = partition_handoff_spec()
         model = HierarchyModel.from_spec(spec)

@@ -86,3 +86,29 @@ class TestSeedDerivation:
         assert len(set(seeds)) == 16
         assert seeds == [derive_partition_seed(42, i) for i in range(16)]
         assert derive_partition_seed(43, 0) != derive_partition_seed(42, 0)
+
+
+class TestWorkerDeath:
+    def test_killed_worker_raises_a_named_error_and_leaves_no_children(
+        self, monkeypatch
+    ):
+        """A partition worker that dies mid-run (no traceback to send)
+        surfaces as a SimulationError naming the partition and its exit
+        code, and every other worker is stopped."""
+        import multiprocessing
+        import os
+
+        from repro.errors import SimulationError
+        from repro.partition.runtime import PartitionRuntime
+
+        run_window = PartitionRuntime.run_window
+
+        def dying_run_window(self, barrier, inclusive=False):
+            if self.index == 1:
+                os._exit(9)
+            return run_window(self, barrier, inclusive)
+
+        monkeypatch.setattr(PartitionRuntime, "run_window", dying_run_window)
+        with pytest.raises(SimulationError, match=r"partition 1 .*exit code 9"):
+            run_partitioned(partition_handoff_spec(), workers=2)
+        assert multiprocessing.active_children() == []

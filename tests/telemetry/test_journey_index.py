@@ -1,7 +1,7 @@
-"""The streaming journey index: equivalence with the legacy post-hoc
-reconstruction on the golden Figure-1 scenario, plus eviction bounds."""
+"""The streaming journey index: equivalence with post-hoc reconstruction
+(:meth:`JourneyIndex.from_entries` over the recorded trace) on the
+golden Figure-1 scenario, plus eviction bounds."""
 
-from repro.metrics.journey import journey_of, journeys_matching
 from repro.netsim.trace import TraceEntry
 from repro.telemetry.journeys import JourneyIndex
 
@@ -31,9 +31,10 @@ def _all_uids(sim):
     return uids
 
 
-def test_live_index_matches_post_hoc_journey_of_on_figure1():
+def test_live_index_matches_post_hoc_index_on_figure1():
     """Attach the index as a live listener *before* the scenario runs;
-    every journey must equal what the post-hoc wrapper reconstructs."""
+    every journey must equal what a post-hoc pass over the trace builds,
+    from the whole trace and from the entries of that uid alone."""
     from repro.workloads.topology import build_figure1
 
     topo = build_figure1(seed=42)
@@ -52,40 +53,45 @@ def test_live_index_matches_post_hoc_journey_of_on_figure1():
 
     uids = _all_uids(sim)
     assert uids, "scenario produced no uid-stamped trace entries"
-    assert sorted(live.uids()) == sorted(uids)
+    post_hoc = JourneyIndex.from_entries(sim.tracer.entries)
+    assert sorted(live.uids()) == sorted(uids) == sorted(post_hoc.uids())
     for uid in uids:
-        assert _steps_as_tuples(live.journey(uid)) == _steps_as_tuples(
-            journey_of(sim, uid)
-        ), f"live index diverges from post-hoc reconstruction for uid {uid}"
+        alone = JourneyIndex.from_entries(
+            e for e in sim.tracer.entries if e.detail.get("uid") == uid
+        )
+        expected = _steps_as_tuples(live.journey(uid))
+        assert _steps_as_tuples(post_hoc.journey(uid)) == expected, (
+            f"live index diverges from post-hoc reconstruction for uid {uid}"
+        )
+        assert _steps_as_tuples(alone.journey(uid)) == expected
 
 
-def test_wrappers_match_legacy_semantics_on_golden_scenario():
-    """journey_of / journeys_matching (now single-pass over the index)
-    keep the original behaviour on the golden-trace scenario."""
+def test_post_hoc_index_on_golden_scenario():
+    """A post-hoc index over the golden-trace scenario keeps first-seen
+    order, time-ordered steps, and the tunnelled/delivered journeys."""
     sim = run_figure1_scenario()
     index = JourneyIndex.from_entries(sim.tracer.entries)
     uids = _all_uids(sim)
 
-    # First-seen order is preserved by journeys_matching.
-    everything = journeys_matching(sim, lambda j: True)
+    # First-seen order is preserved by matching().
+    everything = index.matching(lambda j: True)
     assert [j.uid for j in everything] == uids == index.uids()
 
     for uid in uids:
-        journey = journey_of(sim, uid)
+        journey = index.journey(uid)
         assert journey.uid == uid
-        # Steps come out time-ordered (trace order), like the rescan did.
+        # Steps come out time-ordered (trace order).
         times = [s.time for s in journey.steps]
         assert times == sorted(times)
 
-    tunneled = journeys_matching(sim, lambda j: j.was_tunneled)
+    tunneled = index.matching(lambda j: j.was_tunneled)
     assert tunneled, "Figure-1 must tunnel at least one packet"
     assert all(j.was_tunneled for j in tunneled)
-    delivered_at_m = journeys_matching(sim, lambda j: j.delivered_at == "M")
+    delivered_at_m = index.matching(lambda j: j.delivered_at == "M")
     assert delivered_at_m, "packets must reach the mobile host"
 
-    # Unknown uid: an empty journey, not an exception (legacy contract).
-    ghost = journey_of(sim, 10**9)
-    assert ghost.uid == 10**9 and ghost.steps == []
+    # Unknown uid: no journey, not an exception.
+    assert index.journey(10**9) is None
 
 
 def _entry(t, category, node, **detail):
