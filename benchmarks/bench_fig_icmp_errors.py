@@ -44,6 +44,7 @@ def run_error_experiment(quote_full: bool):
         dst=scenario.topo.mobile_home_address,
         protocol=UDP,
         payload=RawPayload(b"doomed"),
+        uid=sim.next_uid(),
     )
     correspondent.send(original.copy())
     sim.run(until=sim.now + 10.0)

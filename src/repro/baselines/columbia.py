@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.core.registration import (
     RegistrationMessage,
-    next_seq,
+    SeqAllocator,
 )
 from repro.errors import ProtocolError
 from repro.ip.address import IPAddress, IPNetwork
@@ -100,6 +100,7 @@ class MSR(NetworkLayerExtension):
         self.queries_sent = 0
         self.tunnels_built = 0
         self.registrar = ReliableRegistrar(node)
+        self.next_seq = SeqAllocator()
         dispatcher = ControlDispatcher.for_node(node)
         dispatcher.on(COL_GREET, self._on_greet)
         dispatcher.on(COL_MOVED, self._on_moved)
@@ -128,7 +129,8 @@ class MSR(NetworkLayerExtension):
         old_msr = message.agent
         if not old_msr.is_zero and old_msr != self.address:
             moved = RegistrationMessage(
-                kind=COL_MOVED, seq=next_seq(), mobile_host=mobile, agent=self.address
+                kind=COL_MOVED, seq=self.next_seq(), mobile_host=mobile,
+                agent=self.address,
             )
             self.registrar.send(old_msr, moved)
         self.node.sim.trace(
@@ -231,7 +233,7 @@ class MSR(NetworkLayerExtension):
         target = self.remote_mobiles.get(mobile) or self.cache.get(mobile)
         if target is not None:
             correction = RegistrationMessage(
-                kind=COL_MOVED, seq=next_seq(), mobile_host=mobile,
+                kind=COL_MOVED, seq=self.next_seq(), mobile_host=mobile,
                 agent=self.cache.get(mobile, self.address),
             )
             self.registrar.send(outer.src, correction)
@@ -253,7 +255,7 @@ class MSR(NetworkLayerExtension):
         answers = {"negative": 0}
         for peer in self.peers:
             message = RegistrationMessage(
-                kind=COL_QUERY, seq=next_seq(), mobile_host=mobile
+                kind=COL_QUERY, seq=self.next_seq(), mobile_host=mobile
             )
             self.registrar.send(
                 peer.address,
@@ -296,6 +298,7 @@ class ColumbiaMobileClient:
         self.current_msr: Optional[IPAddress] = None
         self.temp_address: Optional[IPAddress] = None
         self.registrar = ReliableRegistrar(host)
+        self.next_seq = SeqAllocator()
         host.register_protocol(PROTO_IPIP, self._on_tunneled)
 
     def move_to_cell(self, medium: Medium, msr: "MSR") -> None:
@@ -308,7 +311,7 @@ class ColumbiaMobileClient:
         self.current_msr = msr.address
         greet = RegistrationMessage(
             kind=COL_GREET,
-            seq=next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.host.primary_address,
             agent=old if old is not None else IPAddress.zero(),
             hw_value=self.host.primary_interface.hw_address.value,
@@ -330,7 +333,7 @@ class ColumbiaMobileClient:
         )
         remote = RegistrationMessage(
             kind=COL_REMOTE,
-            seq=next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.host.primary_address,
             agent=temp,
         )

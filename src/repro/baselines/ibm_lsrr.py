@@ -29,7 +29,7 @@ from repro.baselines.scenario_base import UDPProbeScenario
 from repro.baselines.sunshine_postel import Forwarder
 from repro.core.registration import (
     RegistrationMessage,
-    next_seq,
+    SeqAllocator,
 )
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
@@ -119,6 +119,7 @@ class LSRRMobileClient:
         self.host = host
         self.agent = agent
         self.registrar = ReliableRegistrar(host)
+        self.next_seq = SeqAllocator()
         self.current_base: Optional[IPAddress] = None
 
     def move_to(self, medium: Medium, base: IPAddress, gateway: IPAddress) -> None:
@@ -130,7 +131,7 @@ class LSRRMobileClient:
         self.current_base = IPAddress(base)
         self.agent.base_station = self.current_base
         attach = RegistrationMessage(
-            kind=IBM_ATTACH, seq=next_seq(),
+            kind=IBM_ATTACH, seq=self.next_seq(),
             mobile_host=self.host.primary_address,
             agent=self.current_base,
             hw_value=self.host.primary_interface.hw_address.value,
@@ -138,7 +139,7 @@ class LSRRMobileClient:
         self.registrar.send(self.current_base, attach)
         if old_base is not None and old_base != self.current_base:
             detach = RegistrationMessage(
-                kind=IBM_DETACH, seq=next_seq(),
+                kind=IBM_DETACH, seq=self.next_seq(),
                 mobile_host=self.host.primary_address,
             )
             self.registrar.send(old_base, detach)

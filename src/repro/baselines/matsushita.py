@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.core.registration import (
     RegistrationMessage,
-    next_seq,
+    SeqAllocator,
 )
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
@@ -171,6 +171,7 @@ class MatsushitaMobileClient:
         self.correspondents = [IPAddress(c) for c in (correspondents or [])]
         self.temp_address: Optional[IPAddress] = None
         self.registrar = ReliableRegistrar(host)
+        self.next_seq = SeqAllocator()
         host.register_protocol(PROTO_IPTP, self._on_tunneled)
 
     def move_to(
@@ -196,14 +197,14 @@ class MatsushitaMobileClient:
 
     def _register(self, temp: IPAddress) -> None:
         register = RegistrationMessage(
-            kind=MAT_REGISTER, seq=next_seq(),
+            kind=MAT_REGISTER, seq=self.next_seq(),
             mobile_host=self.host.primary_address, agent=temp,
         )
         self.registrar.send(self.pfs_address, register)
         if self.autonomous:
             for correspondent in self.correspondents:
                 notify = RegistrationMessage(
-                    kind=MAT_NOTIFY, seq=next_seq(),
+                    kind=MAT_NOTIFY, seq=self.next_seq(),
                     mobile_host=self.host.primary_address, agent=temp,
                 )
                 self.registrar.send(correspondent, notify)

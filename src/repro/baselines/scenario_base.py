@@ -102,6 +102,7 @@ class UDPProbeScenario(Scenario):
             dst=self.mobile_address,
             protocol=PROTO_UDP,
             payload=datagram,
+            uid=self.sim.next_uid(),
         )
         self._uid_by_seq[seq] = packet.uid
         self._plain_size[seq] = packet.total_length

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.core.registration import (
     RegistrationMessage,
-    next_seq,
+    SeqAllocator,
 )
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
@@ -288,6 +288,7 @@ class VIPMobileClient:
         self.routers = routers
         self.flood_miss_rate = flood_miss_rate
         self.registrar = ReliableRegistrar(host)
+        self.next_seq = SeqAllocator()
         self.floods_sent = 0
 
     def move_to(
@@ -307,7 +308,7 @@ class VIPMobileClient:
         )
         register = RegistrationMessage(
             kind=VIP_REGISTER,
-            seq=next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.agent.vip,
             agent=temp,
         )
@@ -324,7 +325,7 @@ class VIPMobileClient:
         )
         register = RegistrationMessage(
             kind=VIP_REGISTER,
-            seq=next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.agent.vip,
             agent=self.agent.vip,  # physical == VIP at home
         )

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set
 from repro.baselines.scenario_base import UDPProbeScenario
 from repro.core.registration import (
     RegistrationMessage,
-    next_seq,
+    SeqAllocator,
 )
 from repro.ip.address import IPAddress
 from repro.ip.host import Host
@@ -182,6 +182,7 @@ class SPSender(NetworkLayerExtension):
         self._waiting: Dict[IPAddress, List[IPPacket]] = {}
         self.queries_sent = 0
         self.registrar = ReliableRegistrar(node)
+        self.next_seq = SeqAllocator()
         node.add_extension(self)
         node.on_icmp_error(self._on_error)
 
@@ -211,7 +212,7 @@ class SPSender(NetworkLayerExtension):
     def _send_query(self, mobile: IPAddress) -> None:
         self.queries_sent += 1
         message = RegistrationMessage(
-            kind=SP_QUERY, seq=next_seq(), mobile_host=mobile
+            kind=SP_QUERY, seq=self.next_seq(), mobile_host=mobile
         )
         self.registrar.send(
             self.registry_address,
@@ -260,6 +261,7 @@ class SPMobileClient:
         self.registry_address = IPAddress(registry_address)
         self.current_forwarder: Optional[IPAddress] = None
         self.registrar = ReliableRegistrar(host)
+        self.next_seq = SeqAllocator()
 
     def move_to(self, medium: Medium, forwarder: IPAddress, gateway: IPAddress) -> None:
         old_forwarder = self.current_forwarder
@@ -270,7 +272,7 @@ class SPMobileClient:
         self.current_forwarder = IPAddress(forwarder)
         attach = RegistrationMessage(
             kind=SP_ATTACH,
-            seq=next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.host.primary_address,
             agent=self.current_forwarder,
             hw_value=self.host.primary_interface.hw_address.value,
@@ -278,7 +280,7 @@ class SPMobileClient:
         self.registrar.send(self.current_forwarder, attach)
         register = RegistrationMessage(
             kind=SP_REGISTER,
-            seq=next_seq(),
+            seq=self.next_seq(),
             mobile_host=self.host.primary_address,
             agent=self.current_forwarder,
         )
@@ -286,7 +288,7 @@ class SPMobileClient:
         if old_forwarder is not None and old_forwarder != self.current_forwarder:
             detach = RegistrationMessage(
                 kind=SP_DETACH,
-                seq=next_seq(),
+                seq=self.next_seq(),
                 mobile_host=self.host.primary_address,
             )
             self.registrar.send(old_forwarder, detach)

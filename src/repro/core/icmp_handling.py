@@ -160,5 +160,6 @@ class TunnelErrorHandler:
                     dst=self.node.primary_address,
                     protocol=1,
                     payload=error,
+                    uid=self.node.next_uid(),
                 )
                 listener(listener_packet, error)

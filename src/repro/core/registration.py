@@ -23,7 +23,6 @@ agent at once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -51,11 +50,6 @@ REG_MAX_RETRIES = 5
 
 #: Registration sequence numbers are 16 bits on the wire and wrap.
 SEQ_MODULUS = 1 << 16
-
-#: The shared counter behind :func:`next_seq`, which maps it through
-#: :func:`wrap16`, so it stays a plain, capturable ``itertools.count``.
-_seq_counter = itertools.count(1)
-
 
 @dataclass
 class RegistrationMessage:
@@ -138,10 +132,11 @@ class SeqAllocator:
     """A picklable :func:`wrap16` allocator; ``last`` is the number it
     handed out last (0: none yet).
 
-    Each mobile host owns one for its registrations: its consecutive
-    messages then differ by one, and :func:`seq_before` orders them
-    however many numbers the rest of the world allocates in between.
-    ``last`` travels in the host's ``state_dict``, so a host that
+    Every sender of control messages owns one — each mobile host,
+    home-agent replica and comparison-protocol agent: a sender's
+    consecutive messages then differ by one, and :func:`seq_before`
+    orders them however many numbers other senders allocate meanwhile.
+    ``last`` travels in a mobile host's ``state_dict``, so a host that
     migrates between partitions keeps counting where it left off.  The
     engines' IP identification allocators are ``SeqAllocator`` objects too."""
 
@@ -153,12 +148,6 @@ class SeqAllocator:
     def __call__(self) -> int:
         self.last = wrap16(self.last + 1)
         return self.last
-
-
-def next_seq() -> int:
-    """The next number from the counter shared by the agents that are
-    not mobile hosts (home-agent replication, the comparison protocols)."""
-    return wrap16(next(_seq_counter))
 
 
 def seq_before(a: int, b: int) -> bool:

@@ -39,7 +39,7 @@ from repro.core.home_agent import HomeAgent
 from repro.core.persistence import LocationStore, MemoryStore
 from repro.core.registration import (
     RegistrationMessage,
-    next_seq,
+    SeqAllocator,
 )
 from repro.errors import ConfigurationError
 from repro.ip.address import IPAddress
@@ -88,6 +88,7 @@ class HomeAgentReplica:
             advertised_address=self.service_address,
         )
         self.registrar = ReliableRegistrar(host)
+        self.next_seq = SeqAllocator()
         dispatcher = ControlDispatcher.for_node(host)
         dispatcher.on(HA_SYNC, self._on_sync)
         dispatcher.on(HA_HEARTBEAT, self._on_heartbeat)
@@ -137,7 +138,7 @@ class HomeAgentReplica:
             return
         for peer in self.peer_addresses:
             sync = RegistrationMessage(
-                kind=HA_SYNC, seq=next_seq(),
+                kind=HA_SYNC, seq=self.next_seq(),
                 mobile_host=mobile_host, agent=foreign_agent,
             )
             self.registrar.send(peer, sync)
@@ -147,7 +148,7 @@ class HomeAgentReplica:
             return
         for peer in self.peer_addresses:
             beat = RegistrationMessage(
-                kind=HA_HEARTBEAT, seq=next_seq(),
+                kind=HA_HEARTBEAT, seq=self.next_seq(),
                 mobile_host=IPAddress.zero(), agent=self.iface_address,
             )
             # Heartbeats are fire-and-forget: a missed one is the signal.
@@ -158,6 +159,7 @@ class HomeAgentReplica:
             self.host.send(IPPacket(
                 src=self.host.primary_address, dst=peer,
                 protocol=MOBILE_CONTROL, payload=beat,
+                uid=self.host.next_uid(),
             ))
         self._heartbeat_timer.start(HEARTBEAT_PERIOD)
 
@@ -209,7 +211,7 @@ class HomeAgentReplica:
 
     def _request_snapshot(self, peer: IPAddress) -> None:
         request = RegistrationMessage(
-            kind=HA_SNAPSHOT_REQUEST, seq=next_seq(),
+            kind=HA_SNAPSHOT_REQUEST, seq=self.next_seq(),
             mobile_host=IPAddress.zero(), agent=self.iface_address,
         )
         self.registrar.send(peer, request)
@@ -221,7 +223,7 @@ class HomeAgentReplica:
         requester = message.agent
         for mobile_host, foreign_agent in self.agent.database.away_hosts().items():
             sync = RegistrationMessage(
-                kind=HA_SYNC, seq=next_seq(),
+                kind=HA_SYNC, seq=self.next_seq(),
                 mobile_host=mobile_host, agent=foreign_agent,
             )
             self.registrar.send(requester, sync)

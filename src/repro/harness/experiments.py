@@ -259,7 +259,10 @@ def dataplane_cell(
     delivered = [0]
     b.register_protocol(UDP, lambda p, i: delivered.__setitem__(0, delivered[0] + 1))
     # Warm ARP caches end to end so the timed burst measures forwarding.
-    a.send(IPPacket(src=a.primary_address, dst=b.primary_address, protocol=UDP))
+    a.send(IPPacket(
+        src=a.primary_address, dst=b.primary_address, protocol=UDP,
+        uid=sim.next_uid(),
+    ))
     sim.run_until_idle()
     warm = delivered[0]
     payload = RawPayload(b"x" * 64)
@@ -267,7 +270,10 @@ def dataplane_cell(
 
     def burst() -> None:
         for _ in range(n_packets):
-            a.send(IPPacket(src=src, dst=dst, protocol=UDP, payload=payload))
+            a.send(IPPacket(
+                src=src, dst=dst, protocol=UDP, payload=payload,
+                uid=sim.next_uid(),
+            ))
 
     sim.schedule(0.0, burst)
     t0 = time.perf_counter()

@@ -268,6 +268,10 @@ class IPNode:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
+    def next_uid(self) -> int:
+        """A fresh uid for a packet this node builds (from its world)."""
+        return self.sim.next_uid()
+
     def send(self, packet: IPPacket) -> None:
         """Send a locally-originated packet (dataplane ``outbound`` stage)."""
         if not self.up:
@@ -285,6 +289,7 @@ class IPNode:
             protocol=protocol,
             payload=payload,  # type: ignore[arg-type]
             ttl=ttl,
+            uid=self.sim.next_uid(),
         )
         counters = self.dataplane.counters
         counters.originated += 1
@@ -300,6 +305,7 @@ class IPNode:
             dst=dst,
             protocol=PROTO_ICMP,
             payload=message,
+            uid=self.sim.next_uid(),
         )
         self.send(packet)
 

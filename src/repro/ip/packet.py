@@ -33,8 +33,6 @@ DEFAULT_TTL = 64
 #: Fixed IPv4 header size without options.
 BASE_HEADER_LEN = 20
 
-_packet_ids = itertools.count(1)
-
 
 @runtime_checkable
 class Payload(Protocol):
@@ -154,7 +152,9 @@ class IPPacket:
     ``uid`` identifies the *original* packet across tunneling transforms:
     MHRP rewrites headers in place rather than nesting packets, so the uid
     survives every tunnel hop and lets the metrics layer follow one
-    logical packet end to end.
+    logical packet end to end.  Code that builds a packet in a world
+    passes ``uid=sim.next_uid()`` (or ``node.next_uid()``); a packet built
+    outside any world keeps uid 0.
     """
 
     src: IPAddress
@@ -165,7 +165,7 @@ class IPPacket:
     tos: int = 0
     identification: int = 0
     options: List[IPOptionLike] = field(default_factory=list)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = 0
     #: ``(len(options) at scan time, result)`` memo for :meth:`find_lsrr`;
     #: keyed on the list length so appending an option (the LSRR agents do
     #: this after a miss) transparently invalidates the memo.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Any
@@ -14,16 +13,14 @@ ETHERTYPE_ARP = 0x0806
 #: Per-frame link-layer framing overhead in bytes (Ethernet II header + FCS).
 FRAME_OVERHEAD = 18
 
-_hw_counter = itertools.count(1)
-
 
 @total_ordering
 class HWAddress:
     """A 48-bit hardware (MAC-like) address.
 
-    Addresses are allocated from a process-global counter via
-    :meth:`allocate`; uniqueness across one simulation is all the
-    protocols require.
+    Interfaces take theirs from their simulator's counter via
+    :meth:`allocate`; uniqueness within one world is all the protocols
+    require.
     """
 
     # The hash is computed once: media and ARP look addresses up in dicts
@@ -39,9 +36,9 @@ class HWAddress:
         self._hash = hash(("HWAddress", value))
 
     @classmethod
-    def allocate(cls) -> "HWAddress":
-        """A fresh locally-administered unicast address."""
-        return cls((0x02 << 40) | next(_hw_counter))
+    def allocate(cls, sim) -> "HWAddress":
+        """A fresh locally-administered unicast address in ``sim``'s world."""
+        return cls((0x02 << 40) | sim.next_hw())
 
     @classmethod
     def broadcast(cls) -> "HWAddress":

@@ -35,7 +35,7 @@ class NetworkInterface:
         self.name = name
         self.ip_address = IPAddress(ip_address)
         self.network = network
-        self.hw_address = hw_address or HWAddress.allocate()
+        self.hw_address = hw_address or HWAddress.allocate(node.sim)
         self.medium: Optional["Medium"] = None
         self.up = True
         #: Additional addresses this interface answers for (e.g. the

@@ -178,14 +178,12 @@ def live_main(argv: Optional[List[str]] = None) -> int:
             "datagrams_received": run.datagrams_received,
             "datagrams_unresolved": run.datagrams_unresolved,
             "summary": summary,
+            "runtime_samples": run.runtime_samples,
+            "drift_warnings": run.drift_warnings,
+            "max_drift_virtual": round(run.clock.max_drift_virtual, 6),
         }
         if obs is not None:
-            payload["obs"] = {
-                "spans": obs.spans.summary(),
-                "runtime_samples": run.runtime_samples,
-                "drift_warnings": run.drift_warnings,
-                "max_drift_virtual": round(run.clock.max_drift_virtual, 6),
-            }
+            payload["obs"] = {"spans": obs.spans.summary()}
         if dag is not None:
             payload["dag"] = dag
         if report is not None:

@@ -1,10 +1,11 @@
 """The discrete-event simulator.
 
 A :class:`Simulator` owns the clock, the event queue, a seeded random
-source, and the tracer.  All network components take the simulator in
-their constructor and schedule work through it; nothing in the library
-uses wall-clock time or global random state, so runs are deterministic
-for a given seed.
+source, the tracer, and its world's id counters.  All network components
+take the simulator in their constructor and schedule work through it;
+nothing in the library uses wall-clock time, global random state or a
+process-wide counter, so runs are deterministic for a given seed however
+many other worlds share the process.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class Simulator:
         obs: the attached observability plane
             (:class:`repro.obs.ObsPlane`), or ``None`` (the default);
             same guarding discipline as ``telemetry``.
+        last_uid, last_hw: the last packet uid and hardware-address
+            value this world handed out (0: none yet).  Plain ints, so
+            forks and partitions carry them in their own state.
     """
 
     #: When true, :meth:`run` delegates to :meth:`run_batched`.  A class
@@ -113,6 +117,8 @@ class Simulator:
         #: role shortcuts into this list, kept as plain attributes so
         #: the hot-path cost stays one load + is-None test.
         self.instruments: list = []
+        self.last_uid = 0
+        self.last_hw = 0
         self._running = False
         self._processed = 0
 
@@ -162,6 +168,19 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of events executed so far."""
         return self._processed
+
+    # ------------------------------------------------------------------
+    # Ids
+    # ------------------------------------------------------------------
+    def next_uid(self) -> int:
+        """A fresh packet uid (1, 2, ... in this world)."""
+        self.last_uid += 1
+        return self.last_uid
+
+    def next_hw(self) -> int:
+        """A fresh hardware-address value (1, 2, ... in this world)."""
+        self.last_hw += 1
+        return self.last_hw
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -549,13 +568,14 @@ class Simulator:
             "clock": self.clock.state_dict(),
             "rng": {"version": version, "state": list(internal), "gauss": gauss},
             "processed": self._processed,
+            "ids": {"uid": self.last_uid, "hw": self.last_hw},
             "queue": self.queue.state_dict(),
             "tracer": self.tracer.state_dict(),
             "instruments": len(self.instruments),
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore clock, RNG, tracer config, and counters.  The event
+        """Restore clock, RNG, tracer config, ids and counters.  The event
         queue's *heap* (callables) is intentionally untouched — full
         restoration is the job of
         :class:`repro.scenario.session.Snapshot` — but its bookkeeping
@@ -566,6 +586,8 @@ class Simulator:
         rng = state["rng"]
         self.rng.setstate((rng["version"], tuple(rng["state"]), rng["gauss"]))
         self._processed = int(state["processed"])
+        self.last_uid = int(state["ids"]["uid"])
+        self.last_hw = int(state["ids"]["hw"])
         self.tracer.load_state(state["tracer"])
         queue_state = state.get("queue")
         if queue_state is not None:

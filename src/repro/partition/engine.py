@@ -22,9 +22,9 @@ Determinism (the byte-identity contract): per-partition simulators are
 seeded from ``(spec.seed, index)``; exports are delivered sorted by
 ``(arrival, source partition, export sequence)`` which is a total order
 reproduced identically by any execution schedule; payloads cross the
-boundary pickled in *both* serial and parallel mode; and the process-
-global ID counters are scoped per partition — worker processes isolate
-them naturally, the serial orchestrator swaps them around every window.
+boundary pickled in *both* serial and parallel mode; and every id
+(packet uids, hardware addresses, registration sequence numbers) comes
+from the partition's own simulator or senders, wherever it runs.
 A serial run (``workers=0``) is therefore byte-identical — per-partition
 trace fingerprints, health summaries, mobile-host state — to a parallel
 run (one OS process per partition), which is what the partition-smoke
@@ -33,7 +33,8 @@ CI job asserts.
 Long runs poll the cooperative deadline
 (:mod:`repro.harness.deadline`) at every window boundary — the
 SIGALRM-free timeout path that makes partitioned cells safe inside the
-sweep runner's worker pools.
+sweep runner's worker pools — and wait for a worker's reply no longer
+than the deadline allows, so a hung worker cannot block the loop.
 """
 
 from __future__ import annotations
@@ -43,11 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.harness.deadline import check as _check_deadline
-from repro.scenario.session import (
-    capture_global_counters,
-    restore_global_counters,
-)
+from repro.harness.deadline import check as _check_deadline, remaining
 from repro.scenario.spec import ScenarioSpec, canonical_json
 from repro.workloads.hierarchy import HierarchyModel, merge_load_summaries
 from repro.workloads.traffic import optional_numpy
@@ -64,30 +61,21 @@ _Export = Tuple[int, float, str, bytes, int]
 # Partition drivers: same surface, serial or one-process-per-partition
 # ----------------------------------------------------------------------
 class _SerialPartition:
-    """In-process partition with global-counter scoping.
-
-    The shared ID counters (packet uids, hardware addresses,
-    registration sequence numbers) are captured after every slice of
-    this partition's execution and restored before the next, so running
-    all partitions interleaved in one process hands out exactly the
-    id sequences isolated worker processes would."""
+    """In-process partition: all of them interleave in one process."""
 
     def __init__(self, spec: ScenarioSpec, model: HierarchyModel, index: int) -> None:
         from repro.partition.runtime import PartitionRuntime
 
         self.runtime = PartitionRuntime(spec, model, index)
         self._next = self.runtime.next_time()
-        self._counters = capture_global_counters()
         self._reply: Optional[tuple] = None
 
     def initial_next_time(self) -> Optional[float]:
         return self._next
 
     def run_async(self, barrier: float, inclusive: bool, deliveries) -> None:
-        restore_global_counters(self._counters)
         self.runtime.inject(deliveries)
         executed = self.runtime.run_window(barrier, inclusive)
-        self._counters = capture_global_counters()
         self._reply = (executed, self.runtime.next_time(), self.runtime.drain_outbox())
 
     def collect(self) -> tuple:
@@ -95,10 +83,8 @@ class _SerialPartition:
         return reply
 
     def finish_async(self, horizon: float, deliveries) -> None:
-        restore_global_counters(self._counters)
         self.runtime.inject(deliveries)
         self.runtime.finish(horizon)
-        self._counters = capture_global_counters()
         self._reply = (self.runtime.result(), self.runtime.drain_outbox())
 
     def collect_result(self) -> tuple:
@@ -178,7 +164,16 @@ class _ParallelPartition:
             raise self._died() from None
 
     def _recv(self, expect: str) -> tuple:
+        """The worker's next reply.  Under an armed deadline, a worker
+        that has not answered by then is terminated and named."""
+        left = remaining()
         try:
+            if left is not None and not self._conn.poll(max(left, 0.0)):
+                self._proc.terminate()
+                raise SimulationError(
+                    f"partition {self.index} worker did not answer "
+                    f"before the deadline"
+                )
             msg = self._conn.recv()
         except (EOFError, OSError):
             raise self._died() from None

@@ -19,10 +19,9 @@ surface the engine in :mod:`repro.partition.engine` drives:
 
 Everything is deterministic per partition: the simulator seed, the load
 model seed and every installed schedule derive from ``(spec.seed,
-partition index)``, and the process-global ID counters are reset at
-build — the serial orchestrator additionally scopes them per partition
-so one process running all partitions interleaved produces exactly what
-isolated worker processes produce.
+partition index)``, and every id comes from the partition's own
+simulator and senders, so one process running all partitions
+interleaved produces exactly what isolated worker processes produce.
 
 Host migration (the PR 5 ``state_dict`` contract as wire format): the
 home partition owns a host's schedule.  A move targeting a remote
@@ -53,7 +52,6 @@ from repro.scenario.session import (
     PROBE_PROTOCOL,
     ScheduleInstaller,
     discard_probe,
-    reset_global_counters,
 )
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.world import bind_sim_node, build_world
@@ -84,7 +82,6 @@ class PartitionRuntime(ScheduleInstaller):
         model: Optional[HierarchyModel] = None,
         index: int = 0,
     ) -> None:
-        reset_global_counters()
         self.spec = spec
         self.model = model or HierarchyModel.from_spec(spec)
         self.index = index

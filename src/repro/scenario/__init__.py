@@ -12,9 +12,6 @@ from repro.scenario.session import (
     PROBE_PROTOCOL,
     Session,
     Snapshot,
-    capture_global_counters,
-    reset_global_counters,
-    restore_global_counters,
     validate_forkable,
 )
 from repro.scenario.spec import PROBE_GAP, ScenarioSpec, canonical_json
@@ -29,8 +26,5 @@ __all__ = [
     "World",
     "build_world",
     "canonical_json",
-    "capture_global_counters",
-    "reset_global_counters",
-    "restore_global_counters",
     "validate_forkable",
 ]

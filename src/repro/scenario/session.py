@@ -25,17 +25,15 @@ at snapshot time and names the offending callable, and anything else in
 the session that cannot be pickled fails the snapshot with a
 :class:`~repro.errors.SnapshotError` naming its type.
 
-Determinism of the restored runs rests on three mechanisms:
+Determinism of the restored runs rests on two mechanisms:
 
 1. **Split installation** — tail entries are installed at checkpoint
    time on the cold path too, so the event queue assigns the same
    sequence numbers either way (ordering among same-time events is
    ``(time, sequence)``).
-2. **Global counter capture** — the process-global ID counters (packet
-   uids, hardware addresses, registration sequence numbers) are reset
-   when a session is built and restored to their checkpoint values when
-   a snapshot is forked.
-3. **Engine state capture** — clock, RNG, and tracer ride the pickle;
+2. **Engine state capture** — clock, RNG, tracer and the world's id
+   counters (packet uids, hardware addresses on the simulator;
+   registration sequence numbers on each sender) ride the pickle;
    :meth:`Session.state_dict` exposes all of it for field-by-field
    diffing in the determinism tests.
 """
@@ -45,9 +43,8 @@ from __future__ import annotations
 import functools
 import inspect
 import io
-import itertools
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import SnapshotError
 from repro.ip.packet import IPPacket, RawPayload
@@ -59,50 +56,6 @@ from repro.scenario.world import World, build_world
 #: lives with the other protocol numbers; re-exported here for the
 #: session/fuzzer API).
 from repro.ip.protocols import CONVERGENCE_PROBE as PROBE_PROTOCOL
-
-
-# ----------------------------------------------------------------------
-# Process-global ID counters
-# ----------------------------------------------------------------------
-#: (module, attribute) of every global ``itertools.count`` whose values
-#: leak into traces: packet uids, locally-administered hardware
-#: addresses, and registration sequence numbers.
-_GLOBAL_COUNTERS = (
-    ("repro.ip.packet", "_packet_ids"),
-    ("repro.link.frame", "_hw_counter"),
-    ("repro.core.registration", "_seq_counter"),
-)
-
-
-def _counter_module(name: str):
-    import importlib
-
-    return importlib.import_module(name)
-
-
-def reset_global_counters() -> None:
-    """Rewind every global ID counter to 1 (fresh-process state)."""
-    for module_name, attr in _GLOBAL_COUNTERS:
-        setattr(_counter_module(module_name), attr, itertools.count(1))
-
-
-def capture_global_counters() -> Dict[str, int]:
-    """The next value each global counter would hand out."""
-    out: Dict[str, int] = {}
-    for module_name, attr in _GLOBAL_COUNTERS:
-        counter = getattr(_counter_module(module_name), attr)
-        out[f"{module_name}.{attr}"] = counter.__reduce__()[1][0]
-    return out
-
-
-def restore_global_counters(values: Dict[str, int]) -> None:
-    """Rewind every global counter to a :func:`capture_global_counters`."""
-    for module_name, attr in _GLOBAL_COUNTERS:
-        setattr(
-            _counter_module(module_name),
-            attr,
-            itertools.count(values[f"{module_name}.{attr}"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +220,7 @@ class ScheduleInstaller:
             dst=self._home_address(host),
             protocol=PROBE_PROTOCOL,
             payload=RawPayload(b"convergence-probe"),
+            uid=self.sim.next_uid(),
         )
         if watched and self.sim.auditor is not None:
             self.sim.auditor.expect_no_retunnels([packet.uid])
@@ -279,14 +233,12 @@ class ScheduleInstaller:
 class Session(ScheduleInstaller):
     """A spec, instantiated: simulator + world + installed schedule.
 
-    Building a session resets the process-global ID counters, so at most
-    one session may be *live* per process at a time (running two
-    interleaved would interleave their uid sequences).  Sequential
-    sessions — including forks — are fully isolated.
+    Every id a session hands out comes from its own world, so any number
+    of sessions (forks included) may be live and interleaved in one
+    process.
     """
 
     def __init__(self, spec: ScenarioSpec) -> None:
-        reset_global_counters()
         self.spec = spec
         self.sim = Simulator(seed=spec.seed)
         if spec.trace_limit is not None:
@@ -411,7 +363,6 @@ class Session(ScheduleInstaller):
                 roles[f"cache{i}"] = cell_roles.cache_agent.state_dict()
         return {
             "engine": self.sim.state_dict(),
-            "counters": capture_global_counters(),
             "nodes": nodes,
             "roles": roles,
         }
@@ -497,12 +448,11 @@ def _unpicklable(session: "Session") -> str:
 class Snapshot:
     """A frozen session at its checkpoint, forkable any number of times.
 
-    The constructor validates forkability, captures the global ID
-    counters, and pickles the session once, setting the instances of
-    :data:`SHARED_TYPES` aside by reference.  Each :meth:`fork` unpickles
-    that blob (the original session is never touched again) and rewinds
-    the global counters, so every fork continues from the checkpoint
-    exactly as the original would have.
+    The constructor validates forkability and pickles the session once,
+    setting the instances of :data:`SHARED_TYPES` aside by reference.
+    Each :meth:`fork` unpickles that blob (the original session is never
+    touched again), so every fork continues from the checkpoint exactly
+    as the original would have.
     """
 
     def __init__(self, session: Session) -> None:
@@ -511,7 +461,6 @@ class Snapshot:
         self.checkpoint = session.spec.checkpoint
         #: Events the warm-up executed — what each fork saves.
         self.warmup_events = session.sim.events_processed
-        self._counters = capture_global_counters()
         # Imported here, not at module level: runs that never fork (every
         # backend run imports this module) should not pay for pickle.
         import pickle
@@ -547,7 +496,6 @@ class Snapshot:
         unpickler = pickle.Unpickler(io.BytesIO(self._blob))
         unpickler.persistent_load = self._shared.__getitem__
         session = unpickler.load()
-        restore_global_counters(self._counters)
         if spec is not None:
             session.spec = spec
         return session

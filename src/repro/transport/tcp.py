@@ -177,6 +177,7 @@ class TCPConnection:
             dst=self.remote,
             protocol=PROTO_TCP,
             payload=segment,
+            uid=self.node.next_uid(),
         )
         self.node.send(packet)
 
@@ -379,4 +380,5 @@ class TCPStack:
                 dst=packet.src,
                 protocol=PROTO_TCP,
                 payload=reset,
+                uid=self.node.next_uid(),
             ))

@@ -85,6 +85,7 @@ class UDPStack:
             dst=dst,
             protocol=PROTO_UDP,
             payload=datagram,
+            uid=self.node.next_uid(),
         )
         self.node.send(packet)
 

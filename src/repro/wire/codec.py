@@ -157,8 +157,10 @@ def decode_packet(data: bytes) -> IPPacket:
 
     Strict: bad version/IHL, length disagreement, checksum mismatch,
     fragments, and IP options all raise :class:`PacketError`, as does any
-    malformed payload of a protocol the codec understands.  A fresh
-    ``uid`` is assigned (uids are tracing handles, never on the wire).
+    malformed payload of a protocol the codec understands.  The ``uid``
+    is the IP identification field: the engine that originated the packet
+    stamped its uid there, so a flight keeps one uid across the hops that
+    each decode a fresh object.
     """
     if len(data) < BASE_HEADER_LEN:
         raise PacketError(f"IP packet truncated ({len(data)} bytes)")
@@ -179,6 +181,7 @@ def decode_packet(data: bytes) -> IPPacket:
     if internet_checksum(data[:BASE_HEADER_LEN]) != 0:
         raise PacketError("IP header checksum mismatch")
     protocol = data[9]
+    identification = int.from_bytes(data[4:6], "big")
     return IPPacket(
         src=IPAddress.from_bytes(data[12:16]),
         dst=IPAddress.from_bytes(data[16:20]),
@@ -186,7 +189,8 @@ def decode_packet(data: bytes) -> IPPacket:
         payload=_decode_payload(protocol, data[BASE_HEADER_LEN:]),
         ttl=data[8],
         tos=data[1],
-        identification=int.from_bytes(data[4:6], "big"),
+        identification=identification,
+        uid=identification,
     )
 
 

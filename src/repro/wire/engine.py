@@ -294,11 +294,6 @@ class NodeEngine:
                 detail={"reason": "decode-error", "error": str(exc)},
             ))
             return out
-        # Flight continuity: the origin stamped its uid into the IP
-        # identification field, so telemetry can follow the packet across
-        # hops even though every hop decodes a fresh object.
-        if packet.identification:
-            packet.uid = packet.identification
         self._ingress(packet, iface_name)
         return out
 
@@ -405,6 +400,11 @@ class NodeEngine:
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------
+    def next_uid(self) -> int:
+        """0: an engine packet takes its uid from the IP identification
+        it is stamped with when sent."""
+        return 0
+
     def send(self, packet: IPPacket) -> None:
         """Originate a packet (runs the outbound hook stage)."""
         self._stamp(packet)

@@ -244,6 +244,7 @@ class SimRolePort:
             src=my_address,
             dst=address,
             protocol=PROTO_MHRP,  # never actually parsed; the ARP matters
+            uid=self.node.next_uid(),
         )
         self.node.arp[iface_name].resolve(address, probe)
 
@@ -445,6 +446,7 @@ class ControlDispatcher:
             dst=to,
             protocol=MOBILE_CONTROL,
             payload=ack,
+            uid=self.node.next_uid(),
         ))
 
 
@@ -499,6 +501,7 @@ class Registrar:
             dst=entry["destination"],
             protocol=MOBILE_CONTROL,
             payload=entry["message"],
+            uid=self.node.next_uid(),
         ))
 
     def _retry(self, seq: int) -> None:

@@ -70,6 +70,7 @@ def inject_and_measure(
         protocol=UDP,
         payload=RawPayload(b"loop-probe"),
         ttl=ttl,
+        uid=sim.next_uid(),
     )
     encapsulate(packet, topo.cell_roles[0].foreign_agent.address, agent_address=None)
     bytes_before = topo.backbone.bytes_transmitted

@@ -114,10 +114,11 @@ class TestGlobalRegistry:
         )
         from repro.core.registration import (
             RegistrationMessage,
-            next_seq,
+            SeqAllocator,
         )
         from repro.wire.roles import ReliableRegistrar
 
+        next_seq = SeqAllocator()
         registry = GlobalRegistry(b)
         registrar = ReliableRegistrar(a)
         mobile = IPAddress("9.0.0.1")

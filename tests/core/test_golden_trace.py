@@ -26,19 +26,10 @@ from repro.netsim.trace import jsonable
 GOLDEN_PATH = Path(__file__).parent / "golden" / "figure1_trace.json"
 
 
-def _reset_global_counters() -> None:
-    """Pin the process-global ID counters so uids/hw addresses in trace
-    reprs are independent of whatever ran earlier in this process."""
-    from repro.scenario import reset_global_counters
-
-    reset_global_counters()
-
-
 def run_figure1_scenario():
     """The paper's Section 6 walkthrough, deterministically."""
     from repro.workloads.topology import build_figure1
 
-    _reset_global_counters()
     topo = build_figure1(seed=42)
     sim, s, m = topo.sim, topo.s, topo.m
 

@@ -25,14 +25,13 @@ class TestRegistrationHandling:
         from repro.core.registration import (
             HA_REGISTER,
             RegistrationMessage,
-            next_seq,
         )
         from repro.wire.roles import ReliableRegistrar
 
         acks = []
         message = RegistrationMessage(
             kind=HA_REGISTER,
-            seq=next_seq(),
+            seq=1,
             mobile_host=topo.net_a_prefix.host(1),  # S's address: not in net B
             agent=topo.fa4_address,
         )

@@ -114,7 +114,6 @@ class TestCombinedAgentRouters:
         from repro.core.registration import (
             HA_REGISTER,
             RegistrationMessage,
-            next_seq,
         )
         from repro.wire.roles import ReliableRegistrar
 
@@ -122,7 +121,7 @@ class TestCombinedAgentRouters:
         sim.run(until=5.0)
         acks = []
         message = RegistrationMessage(
-            kind=HA_REGISTER, seq=next_seq(),
+            kind=HA_REGISTER, seq=env["mb"].next_seq(),
             mobile_host=env["mb"].home_address,       # org B's host...
             agent=env["net_a"].host(254),
         )

@@ -7,13 +7,14 @@ from repro.core.registration import (
     FA_CONNECT,
     HA_REGISTER,
     RegistrationMessage,
-    next_seq,
+    SeqAllocator,
 )
 from repro.errors import RegistrationError
 from repro.ip.address import IPAddress
 from repro.wire.roles import ControlDispatcher, ReliableRegistrar
 
 MH = IPAddress("10.2.0.10")
+next_seq = SeqAllocator()
 
 
 def make_message(kind=FA_CONNECT, **kw):

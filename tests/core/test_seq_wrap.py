@@ -8,8 +8,6 @@ two registrations the rest of the world separates by more than half the
 number space, on the simulator and on the engine.
 """
 
-import itertools
-
 import pytest
 
 from repro import backend
@@ -19,7 +17,6 @@ from repro.core.registration import (
     RegistrationMessage,
     SeqAllocator,
     StaleControlFilter,
-    next_seq,
     wrap16,
 )
 from repro.ip.address import IPAddress
@@ -34,8 +31,7 @@ from repro.wire.engine import MobileHostEngine
 #: the wrap.
 WRAP_FROM = 65530
 
-#: More allocations than half the 16-bit number space — and so are
-#: twice as many, modulo 2**16, should both bursts draw on one counter.
+#: More allocations than half the 16-bit number space.
 BURST = 50000
 
 HOST_CLASSES = {"sim": MobileHost, "engine": MobileHostEngine}
@@ -62,14 +58,12 @@ def _observe(backend_name: str):
     return project_events(_events(result)), health_fingerprint(result.health)
 
 
-def test_allocator_wraps_and_skips_zero(monkeypatch):
+def test_allocator_wraps_and_skips_zero():
     assert [wrap16(n) for n in (1, 65535, 65536, 65537)] == [1, 65535, 1, 2]
     alloc = SeqAllocator(WRAP_FROM - 1)
     assert [alloc() for _ in range(8)] == [
         65530, 65531, 65532, 65533, 65534, 65535, 1, 2,
     ]
-    monkeypatch.setattr(registration, "_seq_counter", itertools.count(65535))
-    assert [next_seq() for _ in range(3)] == [65535, 1, 2]
 
 
 @pytest.mark.parametrize("backend_name", sorted(HOST_CLASSES))
@@ -124,9 +118,9 @@ def test_registration_across_the_wrap_matches_a_cold_start(monkeypatch, backend_
 @pytest.mark.parametrize("backend_name", sorted(HOST_CLASSES))
 def test_a_burst_elsewhere_between_two_registrations_is_not_stale(backend_name):
     """At t = 0.25 host 0 has registered once (at 0.2) and host 1 not
-    yet (at 0.3).  Host 1 and the agents' shared counter then allocate
-    ``BURST`` numbers; host 0's next registrations must still count as
-    newer, and host 1's first one is not stale either."""
+    yet (at 0.3).  Host 1 then allocates ``BURST`` numbers; host 0's
+    next registrations must still count as newer, and host 1's first
+    one is not stale either."""
     spec = _spec()
     cold = backend.run(spec, backend=backend_name)
     paused = backend.run(spec, backend=backend_name, until=0.25)
@@ -137,14 +131,13 @@ def test_a_burst_elsewhere_between_two_registrations_is_not_stale(backend_name):
         other = driver.topo.mobile_host(1)
     for _ in range(BURST):
         other.next_seq()
-        next_seq()
     driver.run(until=spec.horizon)
     assert project_events(_events(paused)) == project_events(_events(cold))
 
 
 def test_a_session_built_mid_run_does_not_rewind_registrations():
-    """Building a session resets the process-global counters; the hosts
-    of a session already running keep their own sequence numbers."""
+    """The hosts of a session already running keep their own sequence
+    numbers while another session is built."""
     from repro.scenario import Session
     from repro.wire.conformance import figure1_walkthrough_spec
 

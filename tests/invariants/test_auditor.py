@@ -205,12 +205,10 @@ class TestGoldenTraceByteIdentity:
 
         from tests.core.test_golden_trace import (
             GOLDEN_PATH,
-            _reset_global_counters,
             trace_rows,
         )
         from repro.workloads.topology import build_figure1
 
-        _reset_global_counters()
         topo = build_figure1(seed=42)
         auditor = topo.sim.attach(InvariantAuditor())
         sim, s, m = topo.sim, topo.s, topo.m

@@ -112,9 +112,11 @@ class TestProxyARP:
 
 class TestARPMessage:
     def test_wire_size_is_28_bytes(self):
+        from repro.link.frame import HWAddress
+
         msg = ARPMessage(
             op=ARP_REQUEST,
-            sender_hw=__import__("repro.link.frame", fromlist=["HWAddress"]).HWAddress.allocate(),
+            sender_hw=HWAddress(0x020000000001),
             sender_ip=IPAddress("10.0.0.1"),
             target_ip=IPAddress("10.0.0.2"),
         )
@@ -126,7 +128,7 @@ class TestARPMessage:
 
         msg = ARPMessage(
             op=ARP_REQUEST,
-            sender_hw=HWAddress.allocate(),
+            sender_hw=HWAddress(0x020000000001),
             sender_ip=IPAddress("10.0.0.1"),
             target_ip=IPAddress("10.0.0.1"),
         )

@@ -61,8 +61,12 @@ class TestIPPacketBasics:
             make_packet(ttl=-1)
 
     def test_uids_are_unique_and_preserved_by_copy(self):
-        p1, p2 = make_packet(), make_packet()
-        assert p1.uid != p2.uid
+        from repro.netsim.simulator import Simulator
+
+        sim = Simulator()
+        p1, p2 = make_packet(uid=sim.next_uid()), make_packet(uid=sim.next_uid())
+        assert (p1.uid, p2.uid) == (1, 2)
+        assert make_packet().uid == 0  # built outside any world
         assert p1.copy().uid == p1.uid
 
     def test_copy_is_independent_for_header_fields(self):

@@ -9,15 +9,19 @@ from repro.link.frame import (
     Frame,
     HWAddress,
 )
+from repro.netsim.simulator import Simulator
 
 
 class TestHWAddress:
     def test_allocate_is_unique(self):
-        addrs = {HWAddress.allocate() for _ in range(100)}
+        sim = Simulator()
+        addrs = {HWAddress.allocate(sim) for _ in range(100)}
         assert len(addrs) == 100
+        # Each world counts from 1 on its own.
+        assert HWAddress.allocate(Simulator()) == HWAddress.allocate(Simulator())
 
     def test_allocated_is_unicast(self):
-        assert not HWAddress.allocate().is_broadcast
+        assert not HWAddress.allocate(Simulator()).is_broadcast
 
     def test_broadcast(self):
         b = HWAddress.broadcast()
@@ -46,9 +50,10 @@ class TestFrame:
     def make(self, dst=None):
         packet = IPPacket(src="10.0.0.1", dst="10.0.0.2", protocol=17,
                           payload=RawPayload(b"abcd"))
+        sim = Simulator()
         return Frame(
-            src=HWAddress.allocate(),
-            dst=dst or HWAddress.allocate(),
+            src=HWAddress.allocate(sim),
+            dst=dst or HWAddress.allocate(sim),
             ethertype=ETHERTYPE_IP,
             payload=packet,
         ), packet
@@ -68,14 +73,15 @@ class TestFrame:
         from repro.ip.address import IPAddress
         from repro.link.frame import ETHERTYPE_ARP
 
+        hw = HWAddress.allocate(Simulator())
         message = ARPMessage(
             op=ARP_REQUEST,
-            sender_hw=HWAddress.allocate(),
+            sender_hw=hw,
             sender_ip=IPAddress("10.0.0.1"),
             target_ip=IPAddress("10.0.0.2"),
         )
         frame = Frame(
-            src=HWAddress.allocate(), dst=HWAddress.broadcast(),
+            src=hw, dst=HWAddress.broadcast(),
             ethertype=ETHERTYPE_ARP, payload=message,
         )
         assert frame.byte_length == 28 + FRAME_OVERHEAD

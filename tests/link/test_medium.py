@@ -84,7 +84,7 @@ class TestUnicastAndBroadcast:
 
     def test_unicast_to_absent_hw_is_silently_dropped(self, two_hosts_one_lan):
         sim, lan, a, b, net = two_hosts_one_lan
-        ghost = HWAddress.allocate()
+        ghost = HWAddress.allocate(sim)
         a.interfaces["eth0"].send_to(
             ghost, ETHERTYPE_IP,
             IPPacket(src=net.host(1), dst=net.host(9), protocol=UDP),

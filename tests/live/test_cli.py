@@ -8,6 +8,17 @@ from repro.backend import resolve_spec as _resolve_spec, scenario_names
 from repro.live.cli import live_main
 
 
+def clock_message(payload: dict) -> str:
+    """How far a ``--json`` run's virtual clock fell behind the wall
+    clock, so a loaded machine reads differently from a protocol
+    divergence in an assertion message."""
+    return (
+        f"clock: drift_warnings={payload['drift_warnings']} "
+        f"runtime_samples={payload['runtime_samples']} "
+        f"max_drift_virtual={payload['max_drift_virtual']:.3f}s"
+    )
+
+
 class TestScenarioResolution:
     def test_corpus_names_resolve(self):
         assert _resolve_spec("figure1").name == "figure1-walkthrough"
@@ -47,9 +58,10 @@ class TestMain:
         code = live_main(["fuzz-1102", "--json", "--speed", "40"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        clock = clock_message(payload)
         assert payload["scenario"] == "fuzz-conformance-1102"
-        assert payload["datagrams_sent"] > 0
-        assert payload["summary"]["registrations"] >= 1
+        assert payload["datagrams_sent"] > 0, clock
+        assert payload["summary"]["registrations"] >= 1, clock
 
     def test_quiet_prints_nothing(self, capsys):
         code = live_main(["fuzz-1102", "--quiet", "--speed", "40"])

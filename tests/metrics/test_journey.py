@@ -37,6 +37,7 @@ def send_probe(topo):
         dst=topo.m.home_address,
         protocol=UDP,
         payload=RawPayload(b"probe"),
+        uid=topo.sim.next_uid(),
     )
     topo.m.udp  # ensure the stack exists so delivery is traced cleanly
     topo.s.send(packet)

@@ -75,12 +75,10 @@ class TestAttachedNeutrality:
         golden trace must stay byte-identical with the plane attached."""
         from tests.core.test_golden_trace import (
             GOLDEN_PATH,
-            _reset_global_counters,
             trace_rows,
         )
         from repro.workloads.topology import build_figure1
 
-        _reset_global_counters()
         topo = build_figure1(seed=42)
         sim, s, m = topo.sim, topo.s, topo.m
         obs = sim.attach(ObsPlane())

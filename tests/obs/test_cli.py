@@ -8,6 +8,7 @@ import pytest
 from repro.obs.cli import top_main
 from repro.telemetry.cli import NO_DATA_EXIT, health_main, trace_main
 from repro.telemetry.health import ProtocolHealth
+from tests.live.test_cli import clock_message
 
 
 class TestTopRunMode:
@@ -147,8 +148,9 @@ class TestLiveObsFlags:
              "--metrics-dump", str(dump), "--dag"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["obs"]["spans"]["spans"] == 41
-        assert len(payload["dag"]) >= 10
+        clock = clock_message(payload)
+        assert payload["obs"]["spans"]["spans"] == 41, clock
+        assert len(payload["dag"]) >= 10, clock
         exposition = dump.read_text()
         assert "repro_obs_events_total" in exposition
         assert "repro_live_datagrams_total" in exposition

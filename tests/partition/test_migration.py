@@ -51,9 +51,9 @@ class TestStateDictWireFormat:
         assert visitor.state_dict() == role_state
 
     def test_a_migrated_host_keeps_counting_sequence_numbers(self):
-        """Every partition resets the process-global counters, so a
-        visitor that drew its registration numbers from them would start
-        below the home agent's high-water mark and be ignored as stale."""
+        """A visitor that restarted its registration numbers in the new
+        partition would start below the home agent's high-water mark and
+        be ignored as stale."""
         spec = partition_handoff_spec()
         model = HierarchyModel.from_spec(spec)
         src = PartitionRuntime(spec, model=model, index=0)

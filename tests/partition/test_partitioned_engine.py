@@ -112,3 +112,34 @@ class TestWorkerDeath:
         with pytest.raises(SimulationError, match=r"partition 1 .*exit code 9"):
             run_partitioned(partition_handoff_spec(), workers=2)
         assert multiprocessing.active_children() == []
+
+    def test_hung_worker_raises_a_named_error_at_the_deadline(
+        self, monkeypatch
+    ):
+        """A worker that hangs cannot block the window loop: under an
+        armed deadline the wait for its reply ends, the error names the
+        partition, and every worker is stopped."""
+        import multiprocessing
+        import time
+
+        from repro.errors import SimulationError
+        from repro.harness.deadline import clear_deadline, set_deadline
+        from repro.partition.runtime import PartitionRuntime
+
+        run_window = PartitionRuntime.run_window
+
+        def hanging_run_window(self, barrier, inclusive=False):
+            if self.index == 1:
+                time.sleep(600)
+            return run_window(self, barrier, inclusive)
+
+        monkeypatch.setattr(PartitionRuntime, "run_window", hanging_run_window)
+        started = time.monotonic()
+        set_deadline(2)
+        try:
+            with pytest.raises(SimulationError, match=r"partition 1 .*deadline"):
+                run_partitioned(partition_handoff_spec(), workers=2)
+        finally:
+            clear_deadline()
+        assert time.monotonic() - started < 10
+        assert multiprocessing.active_children() == []

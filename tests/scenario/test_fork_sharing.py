@@ -81,8 +81,6 @@ def test_running_one_fork_leaves_another_untouched():
     busy.install_tail()
     busy.run()
     assert busy.sim.now == busy.spec.horizon
-    # ``state_dict`` reads the global counters, which the fresh fork
-    # rewinds to the checkpoint: read both after it.
     fresh = snapshot.fork().state_dict()
     assert idle.state_dict() == fresh
     assert busy.state_dict() != fresh

@@ -10,11 +10,6 @@ from repro.errors import SnapshotError
 from repro.harness.experiments import handoff_telemetry_spec
 from repro.invariants import fuzz
 from repro.scenario import ScenarioSpec, Session
-from repro.scenario.session import (
-    capture_global_counters,
-    reset_global_counters,
-    restore_global_counters,
-)
 from tests.core.test_golden_trace import trace_rows
 
 
@@ -165,25 +160,54 @@ class TestSnapshotContract:
             session.snapshot()
 
 
-class TestGlobalCounters:
-    def test_capture_restore_round_trip(self):
-        import repro.ip.packet as packet_mod
+class TestInterleavedWorlds:
+    """Every id comes from the world that uses it, so runs that share a
+    process never perturb each other."""
 
-        reset_global_counters()
-        next(packet_mod._packet_ids)
-        captured = capture_global_counters()
-        next(packet_mod._packet_ids)
-        restore_global_counters(captured)
-        assert capture_global_counters() == captured
+    def test_interleaved_runs_each_match_their_cold_run(self):
+        from dataclasses import replace
 
-    def test_session_build_resets_counters(self):
-        import repro.ip.packet as packet_mod
+        from repro.backend import run
+        from repro.wire.conformance import figure1_walkthrough_spec
 
-        Session(handoff_telemetry_spec(seed=42, duration=18.0))
-        before = capture_global_counters()["repro.ip.packet._packet_ids"]
-        next(packet_mod._packet_ids)
-        Session(handoff_telemetry_spec(seed=42, duration=18.0))
-        assert capture_global_counters()["repro.ip.packet._packet_ids"] == before
+        spec = replace(figure1_walkthrough_spec(), checkpoint=10.0)
+        cold = trace_json(cold_run(spec))
+        cold_engine = repr(run(spec, backend="engine").trace)
+        assert '"uid"' in cold and '"hw"' in cold
+
+        first = Session(spec).run_to_checkpoint()
+        snapshot = first.snapshot()
+        first.install_tail()
+        first.run(until=14.0)
+        second = Session(spec).run_to_checkpoint()
+        engine = run(spec, backend="engine")
+        forked = snapshot.fork().install_tail()
+        forked.run(until=18.0)
+        second.install_tail()
+        second.run(until=22.0)
+        for session in (first, forked, second):
+            session.run()
+
+        assert repr(engine.trace) == cold_engine
+        assert trace_json(first) == cold
+        assert trace_json(second) == cold
+        assert trace_json(forked) == cold
+
+
+class TestSnapshotBlob:
+    def test_blob_holds_no_itertools_objects(self):
+        """Pickling itertools objects is deprecated (Python 3.12): the
+        id counters a fork carries must be plain ints."""
+        import pickletools
+
+        from repro.wire.conformance import figure1_walkthrough_spec
+
+        blob = Session(figure1_walkthrough_spec()).snapshot()._blob
+        strings = {
+            arg for _, arg, _ in pickletools.genops(blob) if isinstance(arg, str)
+        }
+        assert "repro.scenario.session" in strings  # module names are seen
+        assert not [s for s in strings if s.split(" ")[0] == "itertools"]
 
 
 class TestStateDictContracts:

@@ -120,6 +120,6 @@ def test_inflight_table_is_bounded():
     hub = ProtocolHealth(max_inflight=10, journey_index=False)
     for i in range(25):
         hub.packet_sent(float(i), "A", IPPacket(src="10.0.0.1", dst="10.0.0.2",
-                                                protocol=UDP))
+                                                protocol=UDP, uid=i + 1))
     assert len(hub._inflight) == 10
     assert hub.inflight_evicted == 15

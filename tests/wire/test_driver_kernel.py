@@ -57,9 +57,9 @@ def test_deepcopy_fork_mid_run_equals_cold_run(spec):
     fork.run(until=spec.horizon)
 
     assert answer(fork) == answer(cold)
-    # The fork is its own object graph: the original has not moved.
-    # (It cannot be resumed to the same answer after the fork ran — the
-    # process-global id counters moved on, the one-live-run-per-process
-    # rule Session snapshots handle by capturing them.)
+    # The fork is its own object graph, ids included: the original has
+    # not moved, and resumed after the fork ran it still ends as cold.
     assert original.now == spec.horizon / 2
     assert len(original.events) < len(cold.events)
+    original.run(until=spec.horizon)
+    assert answer(original) == answer(cold)
