@@ -316,7 +316,8 @@ def handoff_telemetry_spec(
         topology={"kind": "figure1", "wireless_latency": wireless_latency},
         horizon=duration,
         checkpoint=4.0,
-        # Bound trace storage: the hub's listeners see every entry anyway.
+        # Bound trace storage: the hub sees every entry anyway (its listener
+        # on record, its journey index folded before an entry is evicted).
         trace_limit=10_000,
         instruments=[{"kind": "health", "max_completed_journeys": 256}],
         moves=[

@@ -61,12 +61,14 @@ class NetworkInterface:
             self.detach()
         medium.attach(self)
         self.medium = medium
+        self.node.sim.wiring += 1
 
     def detach(self) -> None:
         """Detach from the current medium, if any."""
         if self.medium is not None:
             self.medium.detach(self)
             self.medium = None
+            self.node.sim.wiring += 1
 
     # ------------------------------------------------------------------
     # I/O

@@ -81,6 +81,9 @@ class Simulator:
         last_uid, last_hw: the last packet uid and hardware-address
             value this world handed out (0: none yet).  Plain ints, so
             forks and partitions carry them in their own state.
+        wiring: bumped by every interface attach and detach.  A cache
+            key for views derived from the topology (the health hub's
+            stretch baseline), not state: no ``state_dict`` carries it.
     """
 
     #: When true, :meth:`run` delegates to :meth:`run_batched`.  A class
@@ -119,6 +122,7 @@ class Simulator:
         self.instruments: list = []
         self.last_uid = 0
         self.last_hw = 0
+        self.wiring = 0
         self._running = False
         self._processed = 0
 

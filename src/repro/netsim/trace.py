@@ -9,10 +9,16 @@ Categories are free-form strings; the conventional ones are listed in
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator, MutableSequence, NamedTuple, Optional
 
 Listener = Callable[["TraceEntry"], None]
+#: A reader's catch-up hook: absorb every entry it has not read yet.
+Fold = Callable[[], None]
+
+#: ``Tracer._unread_from`` while no reader is registered: never reached.
+_NO_READER = sys.maxsize
 
 #: Conventional trace categories emitted by the library.
 CATEGORIES = (
@@ -83,13 +89,21 @@ class Tracer:
     For sweeps whose event volume is unbounded (millions of packets),
     ``max_entries`` turns storage into a ring buffer holding only the
     newest entries; :attr:`dropped` counts what fell off the front.
-    Listeners still see every entry, so streaming consumers (wire-size
-    trackers, journey builders) are unaffected by the bound.
+    Listeners still see every entry, and readers are folded before an
+    unread entry falls off, so neither is affected by the bound.
 
     A listener subscribed with ``categories`` is called only for those
     categories.  The per-category call lists are rebuilt on every
     (un)subscribe, so :meth:`record` pays one dict lookup and calls
     nobody who would ignore the entry.
+
+    A *reader* (:meth:`add_reader`) is the lazy alternative to a
+    listener: it keeps a cursor into the stored entries (see
+    :attr:`first_recorded`) and catches up when it is queried.  The
+    tracer calls its fold hook only before it would lose entries the
+    reader may not have read: before :meth:`clear` and :meth:`limit`,
+    and in ring mode before the ring evicts an unread entry — at most
+    once per ring's worth of records.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -104,6 +118,13 @@ class Tracer:
         #: other category goes to ``_wildcard`` (the unscoped listeners).
         self._routes: dict[str, tuple[Listener, ...]] = {}
         self._wildcard: tuple[Listener, ...] = ()
+        #: Fold hooks of the registered readers.
+        self._readers: list[Fold] = []
+        #: Ring position (in ``dropped`` terms) of the oldest entry some
+        #: reader may not have read: evicting it folds the readers first.
+        self._unread_from = _NO_READER
+        #: Records discarded by :meth:`clear`, so positions stay absolute.
+        self._cleared = 0
         if max_entries is not None:
             self.limit(max_entries)
 
@@ -112,6 +133,13 @@ class Tracer:
         """The ring-buffer bound (``None`` = unbounded list storage)."""
         return self._max_entries
 
+    @property
+    def first_recorded(self) -> int:
+        """Absolute record number of ``entries[0]``: every record stored
+        since this tracer was made, counting the ones the ring evicted
+        and :meth:`clear` discarded.  A reader's cursor is one of these."""
+        return self._cleared + self.dropped
+
     def limit(self, max_entries: Optional[int]) -> None:
         """Switch to ring-buffer mode bounded at ``max_entries`` (or back
         to unbounded with ``None``), keeping the newest entries."""
@@ -119,6 +147,7 @@ class Tracer:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         if max_entries == self._max_entries:
             return
+        self._fold_readers()
         if max_entries is None:
             self.entries = list(self.entries)
         else:
@@ -153,6 +182,26 @@ class Tracer:
                 self._reroute()
                 return True
         return False
+
+    def add_reader(self, fold: Fold) -> None:
+        """Register a reader's ``fold`` hook.  It may not have read any
+        stored entry yet, so the next eviction folds it."""
+        self._readers.append(fold)
+        self._unread_from = min(self._unread_from, self.dropped)
+
+    def remove_reader(self, fold: Fold) -> None:
+        """Withdraw a hook passed to :meth:`add_reader` (matched by
+        equality, like :meth:`unsubscribe`)."""
+        self._readers.remove(fold)
+        if not self._readers:
+            self._unread_from = _NO_READER
+
+    def _fold_readers(self) -> None:
+        """Let every reader catch up with the stored entries."""
+        for fold in self._readers:
+            fold()
+        if self._readers:
+            self._unread_from = self.dropped + len(self.entries)
 
     def listeners(self) -> list[Listener]:
         """Every subscribed listener, in subscription order."""
@@ -216,6 +265,8 @@ class Tracer:
             detail = fields
         entry = TraceEntry(time, category, node, detail)  # positional: ~40 % cheaper
         if self._max_entries is not None and len(self.entries) == self._max_entries:
+            if self.dropped >= self._unread_from:
+                self._fold_readers()  # the append evicts an unread entry
             self.dropped += 1
         self.entries.append(entry)
         for listener in self._routes.get(category, self._wildcard):
@@ -262,8 +313,12 @@ class Tracer:
         return iter(self.entries)
 
     def clear(self) -> None:
+        self._fold_readers()
+        self._cleared += self.dropped + len(self.entries)
         self.entries.clear()
         self.dropped = 0
+        if self._readers:
+            self._unread_from = 0
 
     # ------------------------------------------------------------------
     # Snapshot contract

@@ -11,10 +11,9 @@ Three layers:
 
 - :mod:`repro.telemetry.instruments` — counter / gauge / log-bucketed
   histogram / windowed time-series primitives;
-- :mod:`repro.telemetry.journeys` — the streaming journey index (a
-  flight recorder that builds :class:`Journey` objects incrementally
-  from the trace stream, with completed-journey eviction bounding
-  memory);
+- :mod:`repro.telemetry.journeys` — the journey index (a flight
+  recorder that folds the recorded trace into :class:`Journey` objects
+  when it is read, with completed-journey eviction bounding memory);
 - :mod:`repro.telemetry.health` — the :class:`ProtocolHealth` hub that
   feeds the instruments from two channels: direct dataplane/agent
   hooks (``sim.telemetry``, ``None`` by default so the per-packet cost

@@ -15,6 +15,14 @@
   emitted for tests, turning them into tunnel-chain lengths and
   loop-dissolution times.  Listeners see every recorded entry even
   under a ring-buffer bound, so memory stays bounded on long runs.
+  It stays synchronous: :meth:`~ProtocolHealth.packet_delivered` reads
+  the per-packet flight state it updates.
+
+The hub's :attr:`~ProtocolHealth.index` (a
+:class:`~repro.telemetry.journeys.JourneyIndex`) is not fed per entry:
+it reads the tracer and folds the journey entries when it is queried
+(see :mod:`repro.telemetry.journeys`), so a run nobody asks about
+journeys pays nothing for them.
 
 What the hub measures (the quantities Sections 5 and 7 of the paper
 argue about, and the ones the handover-performance literature
@@ -23,7 +31,11 @@ evaluates):
 - end-to-end **latency** per delivered data packet;
 - **hop count** and **path stretch** — actual hops over the current
   shortest path between origin and delivery node (requires ``nodes``
-  at ``sim.attach(hub, nodes=...)`` so the hub can BFS the topology);
+  at ``sim.attach(hub, nodes=...)`` so the hub can BFS the topology).
+  The baseline is one BFS per origin over the node/medium graph,
+  memoized until the wiring changes: every interface attach or detach
+  bumps ``sim.wiring``, whether a mobility protocol moved the host or
+  a script re-wired it directly;
 - **tunnel-chain length** (tunnel operations per delivered packet) and
   the **previous-source-list length** observed at delivery;
 - handoff **blackout**: last data delivery to a mobile host before a
@@ -40,8 +52,8 @@ data-packet distributions and counted separately.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Optional
 
 from repro.ip.icmp import ICMPError, LocationUpdate, RouterAdvertisement, RouterSolicitation
 from repro.ip.packet import IPPacket
@@ -93,8 +105,9 @@ class ProtocolHealth:
         summary = hub.summary()          # flat dict for sweeps / JSON
 
     ``nodes`` enables path-stretch measurement (the hub BFSes the
-    node/medium graph for shortest paths, re-deriving it after every
-    mobile-host move).  Without it every other metric still works.
+    node/medium graph for shortest paths, once per origin until an
+    interface next attaches or detaches).  Without it every other
+    metric still works.
     """
 
     def __init__(
@@ -136,8 +149,11 @@ class ProtocolHealth:
             JourneyIndex(max_completed=max_completed_journeys) if journey_index else None
         )
         self.sim = None
-        self._nodes: Optional[list] = None
-        self._dist_cache: Dict[Tuple[str, str], Optional[int]] = {}
+        self._nodes: Optional[Dict[str, object]] = None
+        #: origin -> {node name: hops}, valid while ``sim.wiring`` equals
+        #: ``_dist_wiring``.
+        self._dist_from: Dict[str, Dict[str, int]] = {}
+        self._dist_wiring = -1
 
     # ------------------------------------------------------------------
     # Attachment
@@ -153,19 +169,20 @@ class ProtocolHealth:
         """Instrument-registry hook: wire listeners into ``sim``."""
         self.sim = sim
         if nodes is not None:
-            self._nodes = list(nodes)
+            self._nodes = {node.name: node for node in nodes}
         self._subscribed = subscribe_trace
         if subscribe_trace:
             sim.tracer.subscribe(self._on_trace, categories=self.TRACE_CATEGORIES)
             if self.index is not None:
-                self.index.attach(sim.tracer, replay=True)
+                self.index.attach(sim.tracer)
 
     def unbind(self, sim) -> None:
-        """Instrument-registry hook: withdraw the tracer listeners."""
+        """Instrument-registry hook: withdraw the tracer listener, and
+        fold the journey index one last time before it stops reading."""
         if getattr(self, "_subscribed", False):
             sim.tracer.unsubscribe(self._on_trace)
             if self.index is not None:
-                sim.tracer.unsubscribe(self.index.observe)
+                self.index.detach()
         self._subscribed = False
         self.sim = None
 
@@ -239,7 +256,6 @@ class ProtocolHealth:
 
     def mh_moved(self, t: float, node: str) -> None:
         self.moves.inc()
-        self._dist_cache.clear()  # topology changed: stretch baselines too
         last = self._last_delivery.get(node)
         if last is not None:
             # Keep the earliest unresolved marker if the host moves
@@ -286,43 +302,49 @@ class ProtocolHealth:
     # ------------------------------------------------------------------
     # Shortest-path baseline for stretch
     # ------------------------------------------------------------------
-    def _adjacency(self) -> Dict[str, set]:
-        """Node-name adjacency derived from shared media, as wired now."""
-        by_medium: Dict[int, List[str]] = {}
-        for node in self._nodes or ():
-            for iface in node.interfaces.values():
-                medium = getattr(iface, "medium", None)
-                if medium is not None:
-                    by_medium.setdefault(id(medium), []).append(node.name)
-        adjacency: Dict[str, set] = {}
-        for names in by_medium.values():
-            for name in names:
-                peers = adjacency.setdefault(name, set())
-                peers.update(n for n in names if n != name)
-        return adjacency
-
     def _shortest_hops(self, origin: str, dest: str) -> Optional[int]:
         """Minimum link hops from ``origin`` to ``dest`` on the current
-        topology (memoized until the next mobile-host move)."""
-        key = (origin, dest)
-        if key in self._dist_cache:
-            return self._dist_cache[key]
-        adjacency = self._adjacency()
-        distance: Optional[int] = None
-        if origin in adjacency:
-            seen = {origin}
-            frontier = deque([(origin, 0)])
-            while frontier:
-                name, d = frontier.popleft()
-                if name == dest:
-                    distance = d
-                    break
-                for peer in adjacency.get(name, ()):
-                    if peer not in seen:
-                        seen.add(peer)
-                        frontier.append((peer, d + 1))
-        self._dist_cache[key] = distance
-        return distance
+        topology, among the ``nodes`` given at attachment.
+
+        One BFS per origin over the node/medium graph gives the hops to
+        every node; it is memoized until an interface next attaches or
+        detaches (``sim.wiring`` moves).
+        """
+        wiring = self.sim.wiring
+        if wiring != self._dist_wiring:
+            self._dist_from.clear()
+            self._dist_wiring = wiring
+        dist = self._dist_from.get(origin)
+        if dist is None:
+            dist = self._dist_from[origin] = self._bfs(origin)
+        return dist.get(dest)
+
+    def _bfs(self, origin: str) -> Dict[str, int]:
+        nodes = self._nodes
+        start = nodes.get(origin)
+        if start is None:
+            return {}
+        dist = {origin: 0}
+        seen_media = set()
+        frontier = [start]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for node in frontier:
+                for iface in node.interfaces.values():
+                    medium = iface.medium
+                    if medium is None or id(medium) in seen_media:
+                        continue
+                    seen_media.add(id(medium))
+                    for peer_iface in medium.interfaces:
+                        peer = peer_iface.node
+                        name = peer.name
+                        if name not in dist and nodes.get(name) is peer:
+                            dist[name] = d
+                            reached.append(peer)
+            frontier = reached
+        return dist
 
     # ------------------------------------------------------------------
     # Reporting

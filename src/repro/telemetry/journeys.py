@@ -1,13 +1,23 @@
-"""The streaming journey index — a per-packet flight recorder.
+"""The journey index — a per-packet flight recorder, folded on read.
 
 Because MHRP rewrites packets in place, a logical packet keeps its uid
 across every tunneling transform; the tracer records that uid on every
 send, forward, delivery, drop, and tunnel event.  A
-:class:`JourneyIndex` subscribed to the tracer stitches those into
-:class:`Journey` objects *incrementally* — one dict lookup and one
-append per entry — instead of rescanning the whole trace per uid;
-:meth:`JourneyIndex.from_entries` builds the same index after the run
-in one pass over a recorded trace.
+:class:`JourneyIndex` stitches those into :class:`Journey` objects —
+one dict lookup and one append per entry — instead of rescanning the
+whole trace per uid.
+
+The index is built lazily.  :meth:`JourneyIndex.attach` registers it as
+a tracer *reader*, not a listener: recording a trace entry calls
+nothing here.  The index keeps a cursor (an absolute record number,
+:attr:`Tracer.first_recorded <repro.netsim.trace.Tracer.first_recorded>`)
+and every query first folds the journey-category entries recorded
+since, in record order, through :meth:`JourneyIndex.observe`.  The
+tracer folds it too before it would lose unread entries (``clear``,
+``limit``, and a ring-buffer eviction), and pickling folds it, so a
+session snapshot carries every journey so far.  A run nobody queries
+builds no journey at all.  :meth:`JourneyIndex.from_entries` builds the
+same index after the run in one pass over a recorded trace.
 
 Memory is bounded: a journey is marked complete when its packet is
 delivered or dropped, and once more than ``max_completed`` completed
@@ -20,6 +30,8 @@ accuracy on the protocols simulated here.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional
@@ -111,12 +123,28 @@ _KIND_BY_CATEGORY = {
 }
 
 
-class JourneyIndex:
-    """Builds journeys incrementally from a trace-entry stream.
+#: Every category :meth:`JourneyIndex.observe` turns into a step.
+JOURNEY_CATEGORIES = frozenset((*_KIND_BY_CATEGORY, "mhrp.tunnel"))
 
-    Feed it through :meth:`observe` (usually via :meth:`attach`, which
-    subscribes it to the journey categories only), or all at once with
-    :meth:`from_entries`.  Journeys are kept in first-seen order.
+
+def _folds(method):
+    """Make a query method fold the unread trace entries first."""
+
+    @functools.wraps(method)
+    def query(self, *args):
+        if self._tracer is not None:
+            self.fold()
+        return method(self, *args)
+
+    return query
+
+
+class JourneyIndex:
+    """Builds journeys from trace entries, in record order.
+
+    Feed it through :meth:`observe`, all at once with
+    :meth:`from_entries`, or lazily from a tracer with :meth:`attach`.
+    Journeys are kept in first-seen order.
     """
 
     def __init__(self, max_completed: Optional[int] = None) -> None:
@@ -127,8 +155,12 @@ class JourneyIndex:
         self._journeys: "OrderedDict[int, Journey]" = OrderedDict()
         #: uids currently complete, oldest-completed first (eviction order).
         self._completed: "OrderedDict[int, None]" = OrderedDict()
-        self.evicted = 0
+        self._evicted = 0
         self.entries_seen = 0
+        #: The tracer :meth:`attach` reads from, and the absolute record
+        #: number of the first entry not yet folded.
+        self._tracer: Optional[Tracer] = None
+        self._cursor = 0
 
     @classmethod
     def from_entries(
@@ -140,17 +172,46 @@ class JourneyIndex:
             index.observe(entry)
         return index
 
-    def attach(self, tracer: Tracer, replay: bool = True) -> "JourneyIndex":
-        """Subscribe to ``tracer``; with ``replay`` also absorb whatever
-        it already recorded, so mid-run attachment misses nothing."""
-        if replay:
-            for entry in tracer.entries:
-                self.observe(entry)
-        tracer.subscribe(self.observe, categories=(*_KIND_BY_CATEGORY, "mhrp.tunnel"))
+    def attach(self, tracer: Tracer) -> "JourneyIndex":
+        """Read ``tracer`` from its oldest stored entry on, folding on
+        the next query (so mid-run attachment misses nothing stored)."""
+        self._tracer = tracer
+        self._cursor = tracer.first_recorded
+        tracer.add_reader(self.fold)
         return self
 
+    def detach(self) -> None:
+        """Fold what is left, then stop reading the tracer."""
+        tracer = self._tracer
+        if tracer is not None:
+            self.fold()
+            tracer.remove_reader(self.fold)
+            self._tracer = None
+
+    def fold(self) -> None:
+        """Observe the journey-category entries recorded since the last
+        fold, in record order."""
+        tracer = self._tracer
+        entries = tracer.entries
+        start = self._cursor - tracer.first_recorded
+        if start == len(entries):
+            return
+        self._cursor += len(entries) - start
+        if start:
+            entries = itertools.islice(entries, start, None)
+        for entry in entries:
+            if entry.category in JOURNEY_CATEGORIES:
+                self.observe(entry)
+
+    def __getstate__(self) -> dict:
+        # A snapshot carries every journey so far; its forks then share
+        # the steps by identity, as they share the trace entries.
+        if self._tracer is not None:
+            self.fold()
+        return self.__dict__
+
     # ------------------------------------------------------------------
-    # The streaming path
+    # Absorbing one entry
     # ------------------------------------------------------------------
     def observe(self, entry: TraceEntry) -> None:
         """Absorb one trace entry (listener-compatible)."""
@@ -183,36 +244,50 @@ class JourneyIndex:
                 while len(self._completed) > self.max_completed:
                     old_uid, _ = self._completed.popitem(last=False)
                     del self._journeys[old_uid]
-                    self.evicted += 1
+                    self._evicted += 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    @property
+    @_folds
+    def evicted(self) -> int:
+        """Completed journeys dropped to honour ``max_completed``."""
+        return self._evicted
+
+    @_folds
     def journey(self, uid: int) -> Optional[Journey]:
         """The journey for ``uid``, or ``None`` if unseen (or evicted)."""
         return self._journeys.get(uid)
 
+    @_folds
     def journeys(self) -> List[Journey]:
         """Every retained journey, first-seen order."""
         return list(self._journeys.values())
 
+    @_folds
     def matching(self, predicate: Callable[[Journey], bool]) -> List[Journey]:
         """Retained journeys satisfying ``predicate``, first-seen order."""
         return [j for j in self._journeys.values() if predicate(j)]
 
+    @_folds
     def uids(self) -> List[int]:
         return list(self._journeys)
 
+    @_folds
     def in_flight(self) -> List[Journey]:
         """Journeys not (yet) delivered or dropped."""
         return [j for uid, j in self._journeys.items() if uid not in self._completed]
 
+    @_folds
     def is_complete(self, uid: int) -> bool:
         return uid in self._completed
 
+    @_folds
     def __len__(self) -> int:
         return len(self._journeys)
 
+    @_folds
     def __iter__(self) -> Iterator[Journey]:
         return iter(self._journeys.values())
 

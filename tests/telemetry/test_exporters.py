@@ -208,3 +208,19 @@ def test_figure1_perfetto_export_is_loadable():
     slices = [e for e in document["traceEvents"] if e["ph"] == "X"]
     assert len(slices) > 50
     assert len({e["tid"] for e in slices}) == len(hub.index)
+
+
+def test_figure1_jsonl_export_matches_the_committed_golden(tmp_path, capsys):
+    """``python -m repro health figure1 --jsonl`` writes the journey
+    timeline of the walkthrough byte for byte as committed."""
+    from pathlib import Path
+
+    from repro.telemetry.cli import health_main
+
+    golden = (
+        Path(__file__).resolve().parents[2]
+        / "benchmarks" / "results" / "journeys_figure1.jsonl"
+    )
+    out = tmp_path / "figure1.jsonl"
+    assert health_main(["figure1", "--quiet", "--jsonl", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()

@@ -2,9 +2,9 @@
 Figure-1 walkthrough — a machine-independent gate on the fan-out and
 on the per-record work (packet formatting, detail dicts).
 
-The health hub subscribes to ``ProtocolHealth.TRACE_CATEGORIES`` and its
-journey index to the journey categories; if either is re-widened to
-every category, these counts move and the test fails."""
+The health hub subscribes to ``ProtocolHealth.TRACE_CATEGORIES``, and its
+journey index folds the journey categories when it is read; if either is
+re-widened to every category, these counts move and the test fails."""
 
 from repro.ip.packet import IPPacket, PacketStamp
 from repro.netsim.trace import Tracer
@@ -61,14 +61,26 @@ def test_health_listener_runs_once_per_tunnel_or_loop_entry():
 
 def test_journey_index_observes_only_journey_categories():
     sim, hub, built = _walkthrough()
-    entries = list(sim.tracer.entries)
     observed = hub.index.observed
-    # Attach-time replay absorbs everything recorded so far; from then on
-    # the index is called for journey categories only.
-    assert _ids(observed[:built]) == _ids(entries[:built])
-    streamed = [e for e in entries[built:] if e.category in _JOURNEY_CATEGORIES]
-    assert _ids(observed[built:]) == _ids(streamed)
-    assert len(streamed) < len(entries) - built
+    assert observed == []  # recording calls nothing in the index
+    # The first read folds everything stored, the build-time entries
+    # included, in record order; a second read folds nothing again.
+    assert len(hub.index) > 0
+    hub.index.uids()
+    entries = list(sim.tracer.entries)
+    wanted = [e for e in entries if e.category in _JOURNEY_CATEGORIES]
+    assert _ids(observed) == _ids(wanted)
+    assert len(wanted) < len(entries)
+    assert built > 0
+    # Entries recorded after a read are folded by the next one, once.
+    sim.trace("arp", "S", uid=1)
+    sim.trace("ip.send", "S", uid=1)
+    sim.trace("mhrp.update", "S", uid=1)
+    hub.index.journeys()
+    hub.index.journey(1)
+    assert _ids(observed) == _ids(
+        wanted + [e for e in sim.tracer.entries if e.category == "ip.send"][-1:]
+    )
 
 
 def test_streamed_index_equals_post_hoc_index():
